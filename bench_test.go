@@ -247,8 +247,9 @@ func BenchmarkTraverseParallel(b *testing.B) {
 // BenchmarkBatchSort compares the batch-sorting engines over identical
 // work: `gates` walks the network gate list per batch (the pre-plan
 // engine), `plan` streams blocks through the compiled plan on one
-// goroutine, `planmt` adds data-parallel workers, and `parallel` runs
-// each batch alone with layer parallelism.
+// goroutine, `planmt` adds data-parallel workers, `stream` feeds
+// SortStream with 16 batches in flight, and `parallel` runs each batch
+// alone with layer parallelism.
 func BenchmarkBatchSort(b *testing.B) {
 	for _, spec := range []struct {
 		name  string
@@ -300,6 +301,24 @@ func BenchmarkBatchSort(b *testing.B) {
 		})
 		b.Run(spec.name+"/planmt", func(b *testing.B) {
 			batchNs(b, func() { plan.SortBatches(work, runtime.NumCPU()) })
+		})
+		b.Run(spec.name+"/stream", func(b *testing.B) {
+			in := make(chan []int64)
+			out := n.SortStream(in)
+			defer close(in)
+			slots := make(chan struct{}, 16) // batches in flight
+			batchNs(b, func() {
+				go func() {
+					for _, batch := range work {
+						slots <- struct{}{}
+						in <- batch
+					}
+				}()
+				for range work {
+					<-out
+					<-slots
+				}
+			})
 		})
 		b.Run(spec.name+"/parallel", func(b *testing.B) {
 			pl := plan.NewParallel(0)

@@ -28,6 +28,7 @@ package countnet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -240,9 +241,7 @@ func (n *Network) Sort(values []int64) ([]int64, error) {
 	c.plan.Apply(out, values, s)
 	c.scratch.Put(s)
 	// The step convention emits largest-first; callers get ascending.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out, nil
 }
 
@@ -254,9 +253,7 @@ func SortFunc[T any](n *Network, values []T, less func(a, b T) bool) ([]T, error
 		return nil, fmt.Errorf("countnet: batch of %d values for width-%d network", len(values), n.Width())
 	}
 	out := runner.ApplyComparatorsFunc(n.inner, values, less)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out, nil
 }
 

@@ -1,11 +1,11 @@
-// Pipelined stream sorting: the deployment mode sorting networks are
-// built for. A fixed-width network has one goroutine per layer; batch
-// k+1 enters layer 1 while batch k occupies layer 2, so steady-state
-// throughput is one batch per layer-latency rather than one batch per
-// whole-network latency.
+// Stream sorting: batches arrive on a channel and leave sorted, in
+// order, on another. SortStream runs the network's compiled plan on one
+// goroutine, sorting each batch in place, so a producer and a consumer
+// can overlap with the sorting.
 //
-// The example streams many batches through L(4,4) both sequentially and
-// pipelined, verifies every batch, and reports throughput.
+// The example sorts many batches through L(4,4) both with a
+// BatchSorter and with SortStream, verifies every batch, and reports
+// throughput.
 //
 //	go run ./examples/pipeline
 package main
@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("sequential: %v  (%.0f batches/sec)\n",
 		seqElapsed.Round(time.Millisecond), float64(batches)/seqElapsed.Seconds())
 
-	// Pipelined: one goroutine per layer.
+	// Stream: batches flow through SortStream.
 	in := make(chan []int64, 8)
 	start = time.Now()
 	go func() {
@@ -60,7 +60,7 @@ func main() {
 			in <- append([]int64(nil), batch...)
 		}
 	}()
-	var pipeChecksum int64
+	var streamChecksum int64
 	count := 0
 	for out := range net.SortStream(in) {
 		for i := 1; i < len(out); i++ {
@@ -68,18 +68,16 @@ func main() {
 				log.Fatalf("batch %d not sorted: %v", count, out)
 			}
 		}
-		pipeChecksum += out[0] + out[w-1]
+		streamChecksum += out[0] + out[w-1]
 		count++
 	}
-	pipeElapsed := time.Since(start)
-	fmt.Printf("pipelined:  %v  (%.0f batches/sec)\n",
-		pipeElapsed.Round(time.Millisecond), float64(batches)/pipeElapsed.Seconds())
+	streamElapsed := time.Since(start)
+	fmt.Printf("stream:     %v  (%.0f batches/sec)\n",
+		streamElapsed.Round(time.Millisecond), float64(batches)/streamElapsed.Seconds())
 
-	if count != batches || pipeChecksum != checksum {
-		log.Fatalf("pipeline lost or corrupted batches: %d/%d, checksum %d vs %d",
-			count, batches, pipeChecksum, checksum)
+	if count != batches || streamChecksum != checksum {
+		log.Fatalf("stream lost or corrupted batches: %d/%d, checksum %d vs %d",
+			count, batches, streamChecksum, checksum)
 	}
 	fmt.Println("\nall batches verified sorted; checksums agree.")
-	fmt.Println("(pipelining pays on multicore machines — one goroutine per layer;")
-	fmt.Println(" on a single core the channel overhead dominates.)")
 }

@@ -8,35 +8,6 @@ import (
 	"countnet/internal/network"
 )
 
-// Sorter is a reusable comparator-semantics executor with a compiled
-// plan and preallocated scratch, for hot loops where ApplyComparators'
-// per-call allocation matters. Not safe for concurrent use; create one
-// per goroutine (they can share one Plan via NewPlanSorter).
-type Sorter struct {
-	plan *Plan
-	s    *Scratch
-	out  []int64
-}
-
-// NewSorter compiles the network and prepares a Sorter for it.
-func NewSorter(net *network.Network) *Sorter {
-	return NewPlanSorter(CompilePlan(net))
-}
-
-// NewPlanSorter prepares a Sorter over an already-compiled plan,
-// sharing the immutable plan across goroutines.
-func NewPlanSorter(plan *Plan) *Sorter {
-	return &Sorter{plan: plan, s: plan.NewScratch(), out: make([]int64, plan.Width())}
-}
-
-// Sort sorts one batch into the internal buffer and returns it in
-// network output order (descending). The returned slice is reused by
-// the next call; copy it if you keep it. Sort performs no allocation.
-func (s *Sorter) Sort(in []int64) []int64 {
-	s.plan.Apply(s.out, in, s.s)
-	return s.out
-}
-
 func insertionSortDesc(t []int64) {
 	for i := 1; i < len(t); i++ {
 		v := t[i]
@@ -66,10 +37,12 @@ func insertionSortDescFunc[T any](t []T, less func(a, b T) bool) {
 }
 
 // Pipeline executes a stream of batches through the network with one
-// goroutine per layer — the deployment mode sorting networks are
-// designed for: batch k can be in layer 3 while batch k+1 is in layer
-// 2. Throughput approaches one batch per layer-latency instead of one
-// batch per network-latency.
+// goroutine per layer, each sorting its gates by gathering the gate's
+// values and insertion-sorting them: batch k can be in layer 3 while
+// batch k+1 is in layer 2. It is a layer-pipeline reference engine
+// with no production caller — the public SortStream runs the compiled
+// Plan instead — and stays only because the perfbench ladder's
+// runner.pipeline_ns rung builds it.
 type Pipeline struct {
 	net    *network.Network
 	stages []chan []int64

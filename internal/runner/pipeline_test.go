@@ -4,55 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"countnet/internal/network"
 )
-
-func TestSorterMatchesApplyComparators(t *testing.T) {
-	net := twoSorter()
-	s := NewSorter(net)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		in := make([]int64, 4)
-		for i := range in {
-			in[i] = int64(rng.Intn(50))
-		}
-		want := ApplyComparators(net, in)
-		got := s.Sort(in)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Sorter.Sort(%v) = %v, want %v", in, got, want)
-		}
-	}
-}
-
-func TestSorterWithOutputOrder(t *testing.T) {
-	b := network.NewBuilder(2)
-	b.Add([]int{0, 1}, "")
-	net := b.Build("rev", []int{1, 0})
-	s := NewSorter(net)
-	got := s.Sort([]int64{1, 9})
-	if !reflect.DeepEqual(got, []int64{1, 9}) {
-		t.Errorf("Sort with reversed order = %v", got)
-	}
-}
-
-func TestSorterReusesBuffer(t *testing.T) {
-	s := NewSorter(twoSorter())
-	a := s.Sort([]int64{4, 3, 2, 1})
-	b := s.Sort([]int64{1, 2, 3, 4})
-	if &a[0] != &b[0] {
-		t.Error("Sorter allocated a fresh output slice per call")
-	}
-}
-
-func TestSorterPanicsOnWidthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSorter(twoSorter()).Sort([]int64{1})
-}
 
 func TestInsertionSortDesc(t *testing.T) {
 	cases := [][]int64{

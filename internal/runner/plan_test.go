@@ -214,10 +214,60 @@ func TestPlanApplyAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { plan.Apply(dst, in, s) }); n != 0 {
 		t.Errorf("Plan.Apply allocates %v times per run, want 0", n)
 	}
-	sorter := NewPlanSorter(plan)
-	if n := testing.AllocsPerRun(100, func() { sorter.Sort(in) }); n != 0 {
-		t.Errorf("Sorter.Sort allocates %v times per run, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { plan.Apply(dst, dst, s) }); n != 0 {
+		t.Errorf("in-place Plan.Apply allocates %v times per run, want 0", n)
 	}
+}
+
+func TestPlanApplyRoundTrip(t *testing.T) {
+	net := twoSorter()
+	plan := CompilePlan(net)
+	s := plan.NewScratch()
+	got := make([]int64, 4)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		in := make([]int64, 4)
+		for i := range in {
+			in[i] = int64(rng.Intn(50))
+		}
+		want := ApplyComparators(net, in)
+		plan.Apply(got, in, s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Plan.Apply(%v) = %v, want %v", in, got, want)
+		}
+	}
+}
+
+func TestPlanApplyWithOutputOrder(t *testing.T) {
+	b := network.NewBuilder(2)
+	b.Add([]int{0, 1}, "")
+	plan := CompilePlan(b.Build("rev", []int{1, 0}))
+	got := make([]int64, 2)
+	plan.Apply(got, []int64{1, 9}, nil)
+	if !reflect.DeepEqual(got, []int64{1, 9}) {
+		t.Errorf("Apply with reversed order = %v", got)
+	}
+}
+
+func TestPlanApplyInPlace(t *testing.T) {
+	plan := CompilePlan(twoSorter())
+	s := plan.NewScratch()
+	batch := []int64{1, 2, 3, 4}
+	plan.Apply(batch, batch, s)
+	if !reflect.DeepEqual(batch, []int64{4, 3, 2, 1}) {
+		t.Errorf("in-place Apply = %v, want [4 3 2 1]", batch)
+	}
+}
+
+func TestPlanApplyPanicsOnShortBatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	plan := CompilePlan(twoSorter())
+	in := []int64{1}
+	plan.Apply(in, in, nil)
 }
 
 // randomPlanNetwork derives an arbitrary (not necessarily sorting)

@@ -1,6 +1,6 @@
 // Package sched is a controlled-scheduler harness for the repository's
 // real concurrent substrates (runner.Async, counter.NetworkCounter,
-// pool.Pool, the stream pipeline). It runs each logical process as a
+// pool.Pool, Network.SortStream). It runs each logical process as a
 // goroutine that yields to a central scheduler at every synchronization
 // point (balancer access, local-counter fetch, buffer slot take), so
 // exactly one process executes between yield points and the whole

@@ -2,32 +2,31 @@ package countnet
 
 import (
 	"fmt"
+	"slices"
 
-	"countnet/internal/network"
 	"countnet/internal/runner"
 )
 
 // BatchSorter is a reusable, allocation-free batch sorter over one
 // network. Not safe for concurrent use; create one per goroutine.
 type BatchSorter struct {
-	inner *runner.Sorter
-	net   *network.Network
-	asc   []int64
+	plan    *runner.Plan
+	scratch *runner.Scratch
+	asc     []int64
 }
 
 // NewBatchSorter prepares a BatchSorter for the network, sharing the
 // network's cached evaluation plan.
 func NewBatchSorter(n *Network) *BatchSorter {
-	return &BatchSorter{inner: runner.NewPlanSorter(n.evalPlan()), net: n.inner, asc: make([]int64, n.Width())}
+	p := n.evalPlan()
+	return &BatchSorter{plan: p, scratch: p.NewScratch(), asc: make([]int64, p.Width())}
 }
 
 // Sort sorts one batch of exactly Width values ascending. The returned
 // slice is reused by the next call; copy it to keep it.
 func (s *BatchSorter) Sort(in []int64) []int64 {
-	out := s.inner.Sort(in)
-	for i := range out {
-		s.asc[len(out)-1-i] = out[i]
-	}
+	s.plan.Apply(s.asc, in, s.scratch)
+	slices.Reverse(s.asc)
 	return s.asc
 }
 
@@ -42,39 +41,37 @@ func (n *Network) SortBatches(batches [][]int64, workers int) error {
 	}
 	n.evalPlan().SortBatches(batches, workers)
 	for _, b := range batches {
-		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-			b[i], b[j] = b[j], b[i]
-		}
+		slices.Reverse(b)
 	}
 	return nil
 }
 
-// SortStream pushes every batch from in through the network using one
-// goroutine per network layer (pipelined: batch k+1 enters layer 1
-// while batch k is in layer 2), emitting ascending-sorted batches in
-// input order on the returned channel. Each input batch must have
-// exactly Width values; input slices are reused as scratch. The output
-// channel closes after the last batch.
+// SortStream sorts every batch received from in and emits it ascending
+// on the returned channel, in input order. Each batch must have exactly
+// Width values. The returned channel closes after in closes and the
+// last batch has been emitted.
+//
+// One goroutine runs the network's cached evaluation plan over each
+// batch in place: every emitted slice is the slice that was sent on in,
+// now holding the sorted values. A producer must not touch a batch
+// between sending it and receiving it back.
+//
+// The output channel buffers 2*(Depth()+1)+2 batches, so a producer
+// may send that many before it reads any output. Beyond that, a send
+// blocks until the consumer reads.
 func (n *Network) SortStream(in <-chan []int64) <-chan []int64 {
-	p := runner.NewPipeline(n.inner, 2)
-	out := make(chan []int64, 2)
-	go func() {
-		for batch := range in {
-			p.Submit(batch)
-		}
-		p.Close()
-	}()
+	plan := n.evalPlan()
+	// Sized to the documented in-flight allowance: producers that send
+	// several batches before reading any output rely on it.
+	out := make(chan []int64, 2*(plan.NumLayers()+1)+2)
 	go func() {
 		defer close(out)
-		order := n.inner.OutputOrder
-		for batch := range p.Results() {
-			asc := make([]int64, len(batch))
-			for k, wire := range order {
-				asc[len(batch)-1-k] = batch[wire]
-			}
-			out <- asc
+		s := plan.NewScratch()
+		for b := range in {
+			plan.Apply(b, b, s)
+			slices.Reverse(b)
+			out <- b
 		}
-		p.Wait()
 	}()
 	return out
 }

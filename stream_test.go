@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"countnet/internal/sched"
 )
@@ -47,37 +48,125 @@ func TestBatchSorterAllocationFree(t *testing.T) {
 	}
 }
 
+// TestSortStream compares every SortStream output with Sort on
+// networks of several families; L, R and the BaseR custom network emit
+// in a permuted OutputOrder, so a stream that skipped the output
+// mapping fails here. Each output must be its input slice, sorted in
+// place.
 func TestSortStream(t *testing.T) {
-	n, err := NewK(2, 2, 2)
+	for _, c := range []struct {
+		name  string
+		build func() (*Network, error)
+	}{
+		{"L(2,3,4)", func() (*Network, error) { return NewL(2, 3, 4) }},
+		{"K(2,2,2)", func() (*Network, error) { return NewK(2, 2, 2) }},
+		{"R(3,4)", func() (*Network, error) { return NewR(3, 4) }},
+		{"ROpt(4,5)", func() (*Network, error) { return NewROpt(4, 5) }},
+		{"Custom(BaseR,2,3,2)", func() (*Network, error) { return NewCustom(Options{Base: BaseR}, 2, 3, 2) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const batches = 50
+			rng := rand.New(rand.NewSource(2))
+			inputs := make([][]int64, batches)
+			wants := make([][]int64, batches)
+			for k := range inputs {
+				inputs[k] = make([]int64, n.Width())
+				for i := range inputs[k] {
+					inputs[k][i] = int64(rng.Intn(1000))
+				}
+				if wants[k], err = n.Sort(inputs[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := make(chan []int64)
+			go func() {
+				defer close(in)
+				for _, b := range inputs {
+					in <- b
+				}
+			}()
+			k := 0
+			for got := range n.SortStream(in) {
+				if &got[0] != &inputs[k][0] {
+					t.Fatalf("batch %d: output is not its input slice", k)
+				}
+				if !reflect.DeepEqual(got, wants[k]) {
+					t.Fatalf("batch %d: %v, want %v", k, got, wants[k])
+				}
+				k++
+			}
+			if k != batches {
+				t.Fatalf("received %d batches, want %d", k, batches)
+			}
+		})
+	}
+}
+
+// TestSortStreamBufferDepth sends the documented in-flight allowance,
+// 2*(Depth()+1)+2 batches, before reading any output. SortStream must
+// take them all; a timeout turns a deadlock into a failure.
+func TestSortStreamBufferDepth(t *testing.T) {
+	for _, factors := range [][]int{{2, 2}, {4, 4, 4}} {
+		n, err := NewL(factors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allowance := 2*(n.Depth()+1) + 2
+		in := make(chan []int64)
+		out := n.SortStream(in)
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for k := 0; k < allowance; k++ {
+				b := make([]int64, n.Width())
+				b[0] = int64(k)
+				in <- b
+			}
+		}()
+		select {
+		case <-sent:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: blocked before %d batches were sent with no reader", n.Name(), allowance)
+		}
+		close(in)
+		got := 0
+		for b := range out {
+			if b[n.Width()-1] != int64(got) {
+				t.Fatalf("%s: batch %d out of order: %v", n.Name(), got, b)
+			}
+			got++
+		}
+		if got != allowance {
+			t.Fatalf("%s: received %d batches, want %d", n.Name(), got, allowance)
+		}
+	}
+}
+
+func TestSortStreamAllocationFree(t *testing.T) {
+	n, err := NewK(4, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batches = 50
 	in := make(chan []int64)
-	rng := rand.New(rand.NewSource(2))
-	wants := make([][]int64, batches)
-	go func() {
-		defer close(in)
-		for k := 0; k < batches; k++ {
-			batch := make([]int64, 8)
-			for i := range batch {
-				batch[i] = int64(rng.Intn(1000))
-			}
-			sorted := append([]int64(nil), batch...)
-			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-			wants[k] = sorted
-			in <- batch
+	out := n.SortStream(in)
+	defer func() {
+		close(in)
+		for range out {
 		}
 	}()
-	k := 0
-	for got := range n.SortStream(in) {
-		if !reflect.DeepEqual(got, wants[k]) {
-			t.Fatalf("batch %d: %v, want %v", k, got, wants[k])
-		}
-		k++
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]int64, n.Width())
+	for i := range batch {
+		batch[i] = int64(rng.Intn(1000))
 	}
-	if k != batches {
-		t.Fatalf("received %d batches, want %d", k, batches)
+	in <- batch
+	<-out
+	if allocs := testing.AllocsPerRun(1000, func() { in <- batch; <-out }); allocs != 0 {
+		t.Errorf("SortStream round trip allocates %v times per batch, want 0", allocs)
 	}
 }
 
