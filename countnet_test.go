@@ -3,6 +3,7 @@ package countnet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -186,6 +187,40 @@ func TestCounterEndToEnd(t *testing.T) {
 	}
 	if v := c.Next(); v != int64(len(all)) {
 		t.Errorf("shared Next after quiescence = %d, want %d", v, len(all))
+	}
+}
+
+// TestCounterHandleExtremeIDs: Handle accepts any int id. math.MinInt
+// once overflowed on negation and, on a non-power-of-two width,
+// produced an entry wire outside the network on the first Next; every
+// other negative id still maps like its absolute value.
+func TestCounterHandleExtremeIDs(t *testing.T) {
+	n, err := NewL(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCounter(n)
+	var all []int64
+	for _, id := range []int{math.MinInt, math.MinInt + 1, math.MaxInt, -1, 0} {
+		h := c.Handle(id)
+		for i := 0; i < 7; i++ {
+			all = append(all, h.Next())
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	for i, v := range all {
+		if v != int64(i) {
+			t.Fatalf("values not gap-free at %d: %d", i, v)
+		}
+	}
+
+	for _, id := range []int{7, 5, math.MaxInt} {
+		pos, neg := NewCounter(n).Handle(id), NewCounter(n).Handle(-id)
+		for i := 0; i < 2*n.Width(); i++ {
+			if p, q := pos.Next(), neg.Next(); p != q {
+				t.Fatalf("Handle(%d) value %d = %d, Handle(%d) gives %d", id, i, p, -id, q)
+			}
+		}
 	}
 }
 

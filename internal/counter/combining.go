@@ -231,26 +231,7 @@ func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), b
 	}
 	block("combine lock", func() bool { return !c.hookHeld })
 	c.hookHeld = true
-	// Round-robin injection from the cursor, as in combineLocked.
-	w := int(c.width)
-	for i := range c.entry {
-		c.entry[i] = 0
-	}
-	n, q := c.cursor, int64(len(dst))
-	if q >= int64(w) {
-		for i := range c.entry {
-			c.entry[i] += q / int64(w)
-		}
-		q %= int64(w)
-	}
-	for ; q > 0; q-- {
-		c.entry[n]++
-		n++
-		if n == w {
-			n = 0
-		}
-	}
-	c.cursor = n
+	c.inject(int64(len(dst)))
 	out := c.async.TraverseBatchHooked(c.entry, yield)
 	i := 0
 	for pos, k := range out {
@@ -265,6 +246,29 @@ func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), b
 		}
 	}
 	c.hookHeld = false
+}
+
+// inject spreads q tokens over c.entry round-robin from the entry
+// cursor and advances the cursor past them. The counting property holds
+// for any distribution of tokens over input wires, so the cursor only
+// spreads load, it does not affect correctness. Caller must hold the
+// combiner lock (c.combine, or hookHeld in controlled runs).
+//
+//netvet:hotpath
+func (c *CombiningCounter) inject(q int64) {
+	w, base := int(c.width), q/c.width
+	for i := range c.entry {
+		c.entry[i] = base
+	}
+	n := c.cursor
+	for q %= c.width; q > 0; q-- {
+		c.entry[n]++
+		n++
+		if n == w {
+			n = 0
+		}
+	}
+	c.cursor = n
 }
 
 // issued returns the number of values handed out (see
@@ -316,28 +320,7 @@ func (c *CombiningCounter) combineLocked(extra []int64) {
 		//netvet:allow escape -- context.Background's zero-size boxing at trace.StartRegion; no runtime allocation (BenchmarkObsOverhead alloc guard)
 		region = obs.Region("countnet.combine-pass")
 	}
-	// Inject the batch round-robin from the entry cursor. The counting
-	// property holds for any distribution of tokens over input wires,
-	// so the cursor only spreads load, it does not affect correctness.
-	w := int(c.width)
-	for i := range c.entry {
-		c.entry[i] = 0
-	}
-	n, q := c.cursor, total
-	if q >= int64(w) {
-		for i := range c.entry {
-			c.entry[i] += q / int64(w)
-		}
-		q %= int64(w)
-	}
-	for ; q > 0; q-- {
-		c.entry[n]++
-		n++
-		if n == w {
-			n = 0
-		}
-	}
-	c.cursor = n
+	c.inject(total)
 	c.async.TraverseBatchInto(c.exits, c.entry, c.scratch)
 	// Claim one value range per touched exit wire and mint the values.
 	vals := c.vals[:0]

@@ -80,7 +80,7 @@ type NetworkCounter struct {
 	locals  []padded
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called; the value paths pay one nil-check when disabled.
+	// called; the value body pays two nil-checks when disabled.
 	watch *obs.CounterObs
 }
 
@@ -103,8 +103,9 @@ func (c *NetworkCounter) Width() int { return c.width }
 // EnableObs attaches observability under the given group name and
 // registers it with r (obs.Default when nil). Idempotent; call before
 // the counter sees concurrent traffic. When enabled, every issued
-// value records an ops count and a Next-latency sample, and the
-// underlying network records per-gate token counts.
+// value records an ops count and a Next-latency sample (hooked values
+// count only), and the underlying network records per-gate token
+// counts.
 func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs {
 	if c.watch == nil {
 		c.watch = obs.NewCounterObs(name, c.async.EnableObs(name))
@@ -126,7 +127,7 @@ func (c *NetworkCounter) EnableObs(name string, r *obs.Registry) *obs.CounterObs
 //netvet:hotpath
 func (c *NetworkCounter) Next() int64 {
 	wire := int((c.entry.Add(1) - 1) % c.width64)
-	return c.nextOn(wire)
+	return c.nextOn(wire, nil)
 }
 
 // NextBlock fills dst with len(dst) values via the shared dispatcher.
@@ -138,37 +139,38 @@ func (c *NetworkCounter) NextBlock(dst []int64) {
 	}
 }
 
-//netvet:hotpath
-func (c *NetworkCounter) nextOn(wire int) int64 {
-	if o := c.watch; o != nil {
-		return c.nextOnObs(wire, o)
-	}
-	var pos int
-	if c.useMu {
-		pos = c.async.TraverseMutex(wire)
-	} else {
-		pos = c.async.Traverse(wire)
-	}
-	k := c.locals[pos].v.Add(1) - 1
-	return k*c.width64 + int64(pos)
-}
-
-// nextOnObs is nextOn with observability: same traversal and value
-// arithmetic (the traversal's own recording happens inside Async),
-// plus the end-to-end latency sample and ops count.
+// nextOn is the one value body: traverse from wire, then claim the
+// exit wire's next local value. A non-nil yield runs before every
+// atomic step (through TraverseHooked, which always uses the atomic
+// balancers); with observability on, every value counts Ops, and
+// unhooked values also record a Next-latency sample — hooked runs read
+// no clock, so controlled runs replay deterministically.
 //
 //netvet:hotpath
-func (c *NetworkCounter) nextOnObs(wire int, o *obs.CounterObs) int64 {
-	start := obs.Now()
+func (c *NetworkCounter) nextOn(wire int, yield func(op string)) int64 {
+	o := c.watch
+	var start int64
+	if o != nil && yield == nil {
+		start = obs.Now()
+	}
 	var pos int
-	if c.useMu {
+	switch {
+	case yield != nil:
+		pos = c.async.TraverseHooked(wire, yield)
+		//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+		yield(fmt.Sprintf("local %d", pos))
+	case c.useMu:
 		pos = c.async.TraverseMutex(wire)
-	} else {
+	default:
 		pos = c.async.Traverse(wire)
 	}
 	k := c.locals[pos].v.Add(1) - 1
-	o.Ops.Inc()
-	o.NextNs.ObserveSince(start)
+	if o != nil {
+		o.Ops.Inc()
+		if yield == nil {
+			o.NextNs.ObserveSince(start)
+		}
+	}
 	return k*c.width64 + int64(pos)
 }
 
@@ -178,10 +180,7 @@ func (c *NetworkCounter) nextOnObs(wire int, o *obs.CounterObs) int64 {
 // uses the atomic balancers. For package sched; do not mix with
 // unhooked calls within one controlled run.
 func (c *NetworkCounter) NextOnHooked(wire int, yield func(op string)) int64 {
-	pos := c.async.TraverseHooked(wire, yield)
-	yield(fmt.Sprintf("local %d", pos))
-	k := c.locals[pos].v.Add(1) - 1
-	return k*c.width64 + int64(pos)
+	return c.nextOn(wire, yield)
 }
 
 // NextHooked is Next with schedule instrumentation (see NextOnHooked);
@@ -189,7 +188,7 @@ func (c *NetworkCounter) NextOnHooked(wire int, yield func(op string)) int64 {
 func (c *NetworkCounter) NextHooked(yield func(op string)) int64 {
 	yield("entry dispatch")
 	wire := int((c.entry.Add(1) - 1) % c.width64)
-	return c.NextOnHooked(wire, yield)
+	return c.nextOn(wire, yield)
 }
 
 // Handle returns a goroutine-local view whose entry wires cycle
@@ -197,10 +196,12 @@ func (c *NetworkCounter) NextHooked(yield func(op string)) int64 {
 // property holds for any distribution of tokens over input wires, so
 // private cycling is safe.
 func (c *NetworkCounter) Handle(id int) Counter {
-	if id < 0 {
-		id = -id
+	// Reduce before negating: -id overflows for math.MinInt.
+	pos := id % c.width
+	if pos < 0 {
+		pos = -pos
 	}
-	return &handle{c: c, pos: id % c.width}
+	return &handle{c: c, pos: pos}
 }
 
 type handle struct {
@@ -215,7 +216,7 @@ func (h *handle) Next() int64 {
 	if h.pos == h.c.width {
 		h.pos = 0
 	}
-	return h.c.nextOn(wire)
+	return h.c.nextOn(wire, nil)
 }
 
 // NextBlock fills dst with len(dst) values, one token each.
@@ -235,7 +236,7 @@ func (h *handle) NextHooked(yield func(op string)) int64 {
 	if h.pos == h.c.width {
 		h.pos = 0
 	}
-	return h.c.NextOnHooked(wire, yield)
+	return h.c.nextOn(wire, yield)
 }
 
 // issued returns the number of values this counter has handed out,

@@ -27,7 +27,7 @@ func observedCounterSystem(t *testing.T, goroutines, opsPer int) sched.System {
 	w := net.Width()
 	return func() ([]sched.TaskFunc, func(tr *sched.Trace) error) {
 		c := counter.NewNetworkCounter(net, false)
-		c.EnableObs("explored", obs.NewRegistry())
+		o := c.EnableObs("explored", obs.NewRegistry())
 		values := make([]int64, 0, goroutines*opsPer)
 		tasks := make([]sched.TaskFunc, goroutines)
 		for g := 0; g < goroutines; g++ {
@@ -51,6 +51,13 @@ func observedCounterSystem(t *testing.T, goroutines, opsPer int) sched.System {
 					return fmt.Errorf("observed counter not gap-free: sorted[%d] = %d (values %v)", i, v, got)
 				}
 			}
+			// Hooked values count Ops but read no clock.
+			if ops := o.Ops.Load(); ops != int64(len(values)) {
+				return fmt.Errorf("observed counter Ops = %d, want %d (one per value issued)", ops, len(values))
+			}
+			if n := o.NextNs.Snapshot().Count; n != 0 {
+				return fmt.Errorf("hooked values recorded %d next_ns samples; hooked runs must not read the clock", n)
+			}
 			return nil
 		}
 		return tasks, check
@@ -59,7 +66,8 @@ func observedCounterSystem(t *testing.T, goroutines, opsPer int) sched.System {
 
 // TestCounterObsUnderExploredSchedules: random and bounded-exhaustive
 // exploration over an observed counter — observability must not break
-// the gap-free invariant or deterministic replay.
+// the gap-free invariant or deterministic replay, and every hooked
+// value is counted in Ops.
 func TestCounterObsUnderExploredSchedules(t *testing.T) {
 	sys := observedCounterSystem(t, 3, 2)
 	if rep := sched.ExploreRandom(sys, 0xcafe, 150, 20_000); rep.Failure != nil {

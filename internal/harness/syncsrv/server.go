@@ -34,6 +34,11 @@ type Server struct {
 // its handler goroutine past the run.
 const maxSubWait = 30 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled client cannot hold a connection forever. There
+// is deliberately no WriteTimeout: /barrier and /sub block by design.
+const readHeaderTimeout = 10 * time.Second
+
 // NewServer wraps the hub. Call Start to begin serving.
 func NewServer(hub *Hub) *Server {
 	s := &Server{hub: hub}
@@ -48,7 +53,7 @@ func NewServer(hub *Hub) *Server {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.http = &http.Server{Handler: mux}
+	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 

@@ -188,6 +188,10 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a scraper may take to send request
+// headers, so a stalled client cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is a running exposition endpoint.
 type Server struct {
 	srv *http.Server
@@ -201,7 +205,7 @@ func (r *Registry) StartServer(addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{srv: &http.Server{Handler: r.Handler()}, ln: ln}
+	s := &Server{srv: &http.Server{Handler: r.Handler(), ReadHeaderTimeout: readHeaderTimeout}, ln: ln}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

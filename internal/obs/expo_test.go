@@ -59,6 +59,11 @@ func TestHandlerEndpoints(t *testing.T) {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
+	// A scraper that stalls mid-headers must not hold its connection
+	// forever.
+	if got := srv.srv.ReadHeaderTimeout; got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want a positive bound", got)
+	}
 
 	get := func(path string) (int, string) {
 		t.Helper()

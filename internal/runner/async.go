@@ -36,11 +36,14 @@ type Async struct {
 	gateLayer []int32 // gate -> 1-based layer, for observability
 
 	// watch is the observability hook, nil unless EnableObs was
-	// called. Every hot entry point pays exactly one nil-check for it;
-	// the instrumented bodies live in separate functions so the
-	// disabled path's code is byte-for-byte the uninstrumented loop
-	// (pinned by the obs-off differential and alloc tests and the
-	// BenchmarkObsOverhead guard lane).
+	// called. The routing loop exists twice: obs-off Traverse keeps a
+	// plain loop of its own, and one instrumented loop (traverse) with
+	// nil-gated yield and obs branches serves everything else. Folding
+	// the plain loop into the instrumented one cost 16% on
+	// BenchmarkTraverse/L(4,4) (140 → 162 ns, median of 5, one pinned
+	// CPU of a 2-vCPU Xeon host), so the disabled path stays the
+	// uninstrumented loop plus one nil-check (pinned by the obs-off
+	// differential and alloc tests and the BenchmarkObsOverhead lane).
 	watch *obs.NetObs
 }
 
@@ -154,7 +157,7 @@ func (a *Async) Obs() *obs.NetObs { return a.watch }
 //netvet:hotpath
 func (a *Async) Traverse(entryWire int) int {
 	if o := a.watch; o != nil {
-		return a.traverseObs(entryWire, o)
+		return a.traverse(entryWire, nil, o, false)
 	}
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
@@ -180,36 +183,6 @@ func (a *Async) Traverse(entryWire int) int {
 	return int(a.outPos[wire])
 }
 
-// traverseObs is Traverse with observability recording: identical
-// routing (same balancer accesses in the same order), plus a per-gate
-// token count and a latency sample.
-//
-//netvet:hotpath
-func (a *Async) traverseObs(entryWire int, o *obs.NetObs) int {
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
-	}
-	start := obs.Now()
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		o.GateToken(gid)
-		i := a.hot[gid].count.Add(1) - 1
-		// Pow2 fast path, matching Traverse exactly.
-		var port int64
-		if m := g.mask; m >= 0 {
-			port = i & m
-		} else {
-			port = i % g.width
-		}
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	o.TraverseNs.ObserveSince(start)
-	return int(a.outPos[wire])
-}
-
 // TraverseHooked is Traverse instrumented for controlled scheduling:
 // yield is called immediately before every atomic balancer access, so
 // a scheduler that serializes its tasks (package sched) fully
@@ -217,97 +190,91 @@ func (a *Async) traverseObs(entryWire int, o *obs.NetObs) int {
 // atomic balancer state with Traverse; do not mix hooked and unhooked
 // traversals within one controlled run.
 func (a *Async) TraverseHooked(entryWire int, yield func(op string)) int {
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
-	}
-	o := a.watch
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		yield(fmt.Sprintf("gate %d", gid))
-		if o != nil {
-			// Counting only — no clock reads, so an observed
-			// controlled run stays deterministic under replay.
-			o.GateToken(gid)
-		}
-		i := a.hot[gid].count.Add(1) - 1
-		// Pow2 fast path, matching Traverse exactly — a controlled
-		// schedule replays identically whichever path computed the port.
-		var port int64
-		if m := g.mask; m >= 0 {
-			port = i & m
-		} else {
-			port = i % g.width
-		}
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	return int(a.outPos[wire])
+	return a.traverse(entryWire, yield, a.watch, false)
 }
 
 // TraverseMutex is Traverse with lock-based balancers. The two modes
 // share no state; do not mix them on one Async instance within a run.
-// The lock path keeps the plain modulo port computation: it is a
-// measurement baseline, not a hot path in the micro-architectural
-// sense (the independent arithmetic makes it an oracle for the mask
-// fast path in the atomic traversals), but it still must not allocate
-// per token, so it carries the same proof annotation.
+// It has no loop of its own: it runs the instrumented loop with the
+// lock step out of line (lockedSeq), so the mutex code stays out of
+// the loop that obs-on Traverse and TraverseHooked run. The lock path
+// keeps the plain modulo port computation, which doubles as an oracle
+// for the mask fast path.
 //
 //netvet:hotpath
 func (a *Async) TraverseMutex(entryWire int) int {
-	if o := a.watch; o != nil {
-		return a.traverseMutexObs(entryWire, o)
-	}
+	return a.traverse(entryWire, nil, a.watch, true)
+}
+
+// traverse is the instrumented routing loop behind obs-on Traverse,
+// TraverseHooked and TraverseMutex. A non-nil yield runs before every
+// balancer access; a non-nil o records per-gate token counts, plus a
+// latency sample when yield is nil — hooked runs count only, because a
+// clock read would break deterministic replay. locked selects the
+// lock-based balancers.
+//
+//netvet:hotpath
+func (a *Async) traverse(entryWire int, yield func(op string), o *obs.NetObs, locked bool) int {
 	if entryWire < 0 || entryWire >= a.width {
 		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
+	}
+	timed := o != nil && yield == nil
+	var start int64
+	if timed {
+		start = obs.Now()
 	}
 	wire := int32(entryWire)
 	gid := a.entry[wire]
 	for gid >= 0 {
 		g := &a.gates[gid]
-		h := &a.hot[gid]
-		h.mu.Lock()
-		i := h.seq
-		h.seq++
-		h.mu.Unlock()
-		port := i % g.width
+		if yield != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+			yield(fmt.Sprintf("gate %d", gid))
+		}
+		if o != nil {
+			o.GateToken(gid)
+		}
+		var port int64
+		if locked {
+			port = a.lockedSeq(gid, o) % g.width
+		} else {
+			// Pow2 fast path, matching Traverse exactly — a controlled
+			// schedule replays identically whichever loop computed the port.
+			i := a.hot[gid].count.Add(1) - 1
+			if m := g.mask; m >= 0 {
+				port = i & m
+			} else {
+				port = i % g.width
+			}
+		}
 		wire = g.wires[port]
 		gid = g.next[port]
+	}
+	if timed {
+		o.TraverseNs.ObserveSince(start)
 	}
 	return int(a.outPos[wire])
 }
 
-// traverseMutexObs is TraverseMutex with observability recording. In
-// lock mode contention is directly measurable: a TryLock that fails
-// means the token found the balancer held, counted per gate before
-// falling back to the blocking Lock.
+// lockedSeq takes gate gid's arrival index under its mutex. With o
+// non-nil, contention is measured directly: a TryLock that fails means
+// the token found the balancer held, counted per gate before falling
+// back to the blocking Lock.
 //
+//go:noinline
 //netvet:hotpath
-func (a *Async) traverseMutexObs(entryWire int, o *obs.NetObs) int {
-	if entryWire < 0 || entryWire >= a.width {
-		panic(fmt.Sprintf("runner: entry wire %d outside width %d", entryWire, a.width))
+func (a *Async) lockedSeq(gid int32, o *obs.NetObs) int64 {
+	h := &a.hot[gid]
+	if o == nil {
+		h.mu.Lock()
+	} else if !h.mu.TryLock() {
+		o.GateContended(gid)
+		h.mu.Lock()
 	}
-	start := obs.Now()
-	wire := int32(entryWire)
-	gid := a.entry[wire]
-	for gid >= 0 {
-		g := &a.gates[gid]
-		h := &a.hot[gid]
-		o.GateToken(gid)
-		if !h.mu.TryLock() {
-			o.GateContended(gid)
-			h.mu.Lock()
-		}
-		i := h.seq
-		h.seq++
-		h.mu.Unlock()
-		port := i % g.width
-		wire = g.wires[port]
-		gid = g.next[port]
-	}
-	o.TraverseNs.ObserveSince(start)
-	return int(a.outPos[wire])
+	i := h.seq
+	h.seq++
+	h.mu.Unlock()
+	return i
 }
 
 // Reset clears all balancer state (both modes), returning the network

@@ -37,8 +37,9 @@ func maskDiffNets(t testing.TB) []*network.Network {
 // TestTraverseMaskVsModulo pins the pow2 mask fast path against plain
 // modulo routing: the same serial token sequence through an Async with
 // masks force-disabled (every gate takes the DIV path) must exit on
-// identical positions, for Traverse, traverseObs and TraverseHooked,
-// with TraverseMutex's independent arithmetic as a third oracle.
+// identical positions, for the plain loop (obs-off Traverse) and for
+// every lane of the instrumented loop — obs-on Traverse, TraverseHooked
+// and TraverseMutex, each hooked and lock lane with obs off and on.
 func TestTraverseMaskVsModulo(t *testing.T) {
 	for _, net := range maskDiffNets(t) {
 		t.Run(net.Name, func(t *testing.T) {
@@ -54,26 +55,32 @@ func TestTraverseMaskVsModulo(t *testing.T) {
 			if masked == 0 {
 				t.Fatal("subject has no pow2 gates; differential is vacuous")
 			}
-			hooked := Compile(net)
-			mutex := Compile(net)
-			obsd := Compile(net)
-			obsd.EnableObs("maskdiff")
+			observed := func() *Async {
+				a := Compile(net)
+				a.EnableObs("maskdiff")
+				return a
+			}
 			yield := func(string) {}
+			lanes := []struct {
+				name string
+				a    *Async
+				run  func(a *Async, wire int) int
+			}{
+				{"mask path", fast, (*Async).Traverse},
+				{"observed path", observed(), (*Async).Traverse},
+				{"hooked path", Compile(net), func(a *Async, w int) int { return a.TraverseHooked(w, yield) }},
+				{"observed hooked path", observed(), func(a *Async, w int) int { return a.TraverseHooked(w, yield) }},
+				{"mutex path", Compile(net), (*Async).TraverseMutex},
+				{"observed mutex path", observed(), (*Async).TraverseMutex},
+			}
 			const tokens = 500
 			for k := 0; k < tokens; k++ {
 				wire := k % net.Width()
 				want := slow.Traverse(wire)
-				if got := fast.Traverse(wire); got != want {
-					t.Fatalf("token %d wire %d: mask path exits %d, modulo path %d", k, wire, got, want)
-				}
-				if got := obsd.Traverse(wire); got != want {
-					t.Fatalf("token %d wire %d: observed path exits %d, modulo path %d", k, wire, got, want)
-				}
-				if got := hooked.TraverseHooked(wire, yield); got != want {
-					t.Fatalf("token %d wire %d: hooked path exits %d, modulo path %d", k, wire, got, want)
-				}
-				if got := mutex.TraverseMutex(wire); got != want {
-					t.Fatalf("token %d wire %d: mutex path exits %d, modulo path %d", k, wire, got, want)
+				for _, l := range lanes {
+					if got := l.run(l.a, wire); got != want {
+						t.Fatalf("token %d wire %d: %s exits %d, modulo path %d", k, wire, l.name, got, want)
+					}
 				}
 			}
 		})

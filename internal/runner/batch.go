@@ -57,13 +57,35 @@ func (a *Async) TraverseBatch(entryCounts []int64) []int64 {
 //
 //netvet:hotpath
 func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []int64 {
+	return a.traverseBatch(dst, entryCounts, s, nil)
+}
+
+// TraverseBatchHooked is TraverseBatch instrumented for controlled
+// scheduling: yield runs immediately before each touched gate's atomic
+// fetch-and-add, so a serializing scheduler (package sched) fully
+// determines how batch reservations interleave with concurrent
+// single-token traversals. It shares the atomic balancer state with
+// Traverse/TraverseBatch; do not mix hooked and unhooked calls within
+// one controlled run.
+func (a *Async) TraverseBatchHooked(entryCounts []int64, yield func(op string)) []int64 {
+	return a.traverseBatch(make([]int64, a.width), entryCounts, nil, yield)
+}
+
+// traverseBatch is the one batch body. A nil s allocates a fresh
+// scratch. A non-nil yield runs before each touched gate's
+// fetch-and-add; with observability on, gate counts are always
+// recorded, and the batch latency, size and trace region only when
+// yield is nil — hooked runs read no clock (see TraverseHooked).
+//
+//netvet:hotpath
+func (a *Async) traverseBatch(dst, entryCounts []int64, s *BatchScratch, yield func(op string)) []int64 {
 	if s == nil {
 		//netvet:allow escape -- cold nil-scratch fallback; steady-state callers pass s (pinned by the zero-alloc tests)
 		s = a.NewBatchScratch()
 	}
 	a.batchArgs(dst, entryCounts)
 	copy(s.cur, entryCounts)
-	if o := a.watch; o != nil {
+	if o := a.watch; o != nil && yield == nil {
 		var total int64
 		for _, t := range entryCounts {
 			total += t
@@ -76,30 +98,10 @@ func (a *Async) TraverseBatchInto(dst, entryCounts []int64, s *BatchScratch) []i
 		o.BatchNs.ObserveSince(start)
 		o.BatchTokens.Observe(total)
 	} else {
-		a.propagate(s.cur, nil, nil)
+		a.propagate(s.cur, yield, o)
 	}
 	for wire, pos := range a.outPos {
 		dst[pos] = s.cur[wire]
-	}
-	return dst
-}
-
-// TraverseBatchHooked is TraverseBatch instrumented for controlled
-// scheduling: yield runs immediately before each touched gate's atomic
-// fetch-and-add, so a serializing scheduler (package sched) fully
-// determines how batch reservations interleave with concurrent
-// single-token traversals. It shares the atomic balancer state with
-// Traverse/TraverseBatch; do not mix hooked and unhooked calls within
-// one controlled run.
-func (a *Async) TraverseBatchHooked(entryCounts []int64, yield func(op string)) []int64 {
-	dst := make([]int64, a.width)
-	a.batchArgs(dst, entryCounts)
-	cur := make([]int64, a.width)
-	copy(cur, entryCounts)
-	// Counting only under controlled scheduling (see TraverseHooked).
-	a.propagate(cur, yield, a.watch)
-	for wire, pos := range a.outPos {
-		dst[pos] = cur[wire]
 	}
 	return dst
 }
@@ -123,7 +125,7 @@ func (a *Async) batchArgs(dst, entryCounts []int64) {
 // topological order. Gate order mirrors ApplyTokens: once a gate is
 // processed, every token later placed on its wires can only meet later
 // gates, so a single in-order pass moves the whole batch. A non-nil o
-// records per-gate token counts (the batch analogue of traverseObs).
+// records per-gate token counts (the batch analogue of traverse).
 //
 //netvet:hotpath
 func (a *Async) propagate(cur []int64, yield func(op string), o *obs.NetObs) {
