@@ -40,7 +40,6 @@ import (
 	"countnet/internal/network"
 	"countnet/internal/runner"
 	"countnet/internal/seq"
-	"countnet/internal/sim"
 	"countnet/internal/verify"
 )
 
@@ -260,10 +259,16 @@ func SortFunc[T any](n *Network, values []T, less func(a, b T) bool) ([]T, error
 // Step runs the network as a balancing network in a quiescent state:
 // tokens[i] tokens enter on wire i, and the result is the per-output
 // token distribution in output order. For a counting network the result
-// always has the step property.
+// always has the step property. It returns an error on a width mismatch
+// or a negative count.
 func (n *Network) Step(tokens []int64) ([]int64, error) {
 	if len(tokens) != n.Width() {
 		return nil, fmt.Errorf("countnet: %d token counts for width-%d network", len(tokens), n.Width())
+	}
+	for wire, c := range tokens {
+		if c < 0 {
+			return nil, fmt.Errorf("countnet: negative token count %d on wire %d", c, wire)
+		}
 	}
 	return runner.ApplyTokens(n.inner, tokens), nil
 }
@@ -316,8 +321,8 @@ func (n *Network) TraceTokens(entries []int) (string, error) {
 			return "", fmt.Errorf("countnet: entry wire %d outside width %d", e, n.Width())
 		}
 	}
-	res, paths := sim.RunTraced(n.inner, entries, sim.FIFO{})
-	return sim.FormatPaths(n.inner, entries, paths, res), nil
+	res, paths := runner.RunTokens(n.inner, entries, nil)
+	return runner.FormatPaths(n.inner, entries, paths, res), nil
 }
 
 // Counter is a concurrent Fetch&Increment counter backed by a counting

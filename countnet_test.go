@@ -136,6 +136,21 @@ func TestStep(t *testing.T) {
 	if _, err := n.Step([]int64{1}); err == nil {
 		t.Error("short input accepted")
 	}
+	// Negative counts are an error, not a panic, including on a wire
+	// no gate touches.
+	l22, _ := NewL(2, 2)
+	gappy, err := ParseTextNetwork("gappy", 3, "0:1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		n  *Network
+		in []int64
+	}{{l22, []int64{-1, 0, 0, 0}}, {gappy, []int64{0, 0, -2}}} {
+		if out, err := c.n.Step(c.in); err == nil || !strings.HasPrefix(err.Error(), "countnet: ") {
+			t.Errorf("%s.Step(%v) = %v, %v; want a countnet error", c.n.Name(), c.in, out, err)
+		}
+	}
 }
 
 func TestVerifyMethods(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // Because the network is cyclic it cannot be a network.Network; Wrapped
 // carries its own (serial-schedule) execution semantics. Serial
 // injection is a legal asynchronous schedule, and by the
-// schedule-independence of balancing networks (see internal/sim) the
+// schedule-independence of balancing networks (see runner.RunTokens) the
 // quiescent exit counts are the same under any schedule.
 type Wrapped struct {
 	width int // external width w

@@ -8,7 +8,7 @@ import (
 	"countnet/internal/core"
 	"countnet/internal/factor"
 	"countnet/internal/network"
-	"countnet/internal/sim"
+	"countnet/internal/runner"
 	"countnet/internal/verify"
 )
 
@@ -277,7 +277,7 @@ func linearizabilityWitness(n *network.Network) (desc string, vA, vB int, found 
 							for i := 0; i < steps; i++ {
 								order = append(order, 3)
 							}
-							res := sim.Run(n, []int{c0, c1, ae, be}, &sim.Script{Order: order})
+							res, _ := runner.RunTokens(n, []int{c0, c1, ae, be}, runner.Script(order))
 							a := res.ExitRanks[2]*w + res.Exits[2]
 							b := res.ExitRanks[3]*w + res.Exits[3]
 							if b < a {

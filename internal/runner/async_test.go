@@ -26,11 +26,11 @@ func TestTraverseMatchesSerialSimulation(t *testing.T) {
 	n := counting4()
 	a := Compile(n)
 	tokens := []int{0, 1, 2, 3, 0, 0, 2, 1, 3, 3, 3}
-	_, wantExits := ApplyTokensSerial(n, tokens)
+	want, _ := RunTokens(n, tokens, nil)
 	for i, entry := range tokens {
 		got := a.Traverse(entry)
-		if got != wantExits[i] {
-			t.Fatalf("token %d (wire %d): exit %d, want %d", i, entry, got, wantExits[i])
+		if got != want.Exits[i] {
+			t.Fatalf("token %d (wire %d): exit %d, want %d", i, entry, got, want.Exits[i])
 		}
 	}
 }

@@ -88,15 +88,3 @@ func ApplyComparatorsFunc[T any](net *network.Network, in []T, less func(a, b T)
 	}
 	return out
 }
-
-// SortAscending sorts values using the network as a sorting network and
-// returns them smallest-first. It panics unless len(values) equals the
-// network width. This is a convenience wrapper over ApplyComparators,
-// which produces largest-first output per the step convention.
-func SortAscending(net *network.Network, values []int64) []int64 {
-	out := ApplyComparators(net, values)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}

@@ -90,13 +90,6 @@ func TestApplyComparatorsPanicsOnWidthMismatch(t *testing.T) {
 	ApplyComparators(twoSorter(), []int64{1, 2})
 }
 
-func TestSortAscending(t *testing.T) {
-	out := SortAscending(twoSorter(), []int64{4, 1, 3, 2})
-	if !reflect.DeepEqual(out, []int64{1, 2, 3, 4}) {
-		t.Errorf("SortAscending = %v", out)
-	}
-}
-
 func TestApplyComparatorsFunc(t *testing.T) {
 	type kv struct {
 		k int

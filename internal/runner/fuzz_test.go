@@ -23,14 +23,17 @@ func fuzzNet() *network.Network {
 
 // FuzzApplyTokensStep: for any non-negative token input, the counting
 // network's quiescent output has the step property and conserves
-// tokens, and the serial simulator agrees with the transfer function.
+// tokens, and the abstract token model agrees with the transfer
+// function under the schedule the fuzzer spells out: each byte of
+// sched picks the next token to step (index mod the in-flight count),
+// and the run goes serial once the bytes run out.
 func FuzzApplyTokensStep(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint16(0), uint16(0))
-	f.Add(uint16(1), uint16(0), uint16(0), uint16(0))
-	f.Add(uint16(65535), uint16(1), uint16(500), uint16(3))
-	f.Add(uint16(7), uint16(7), uint16(7), uint16(7))
+	f.Add(uint16(0), uint16(0), uint16(0), uint16(0), []byte(nil))
+	f.Add(uint16(1), uint16(0), uint16(0), uint16(0), []byte{0})
+	f.Add(uint16(65535), uint16(1), uint16(500), uint16(3), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(uint16(7), uint16(7), uint16(7), uint16(7), []byte{255, 0, 128, 7})
 	net := fuzzNet()
-	f.Fuzz(func(t *testing.T, a, b, c, d uint16) {
+	f.Fuzz(func(t *testing.T, a, b, c, d uint16, sched []byte) {
 		in := []int64{int64(a), int64(b), int64(c), int64(d)}
 		out := ApplyTokens(net, in)
 		if !seq.IsStep(out) {
@@ -39,7 +42,7 @@ func FuzzApplyTokensStep(f *testing.F) {
 		if seq.Sum(out) != seq.Sum(in) {
 			t.Fatalf("token loss: %v -> %v", in, out)
 		}
-		// Serial cross-check on a bounded version of the same multiset.
+		// Token-model cross-check on a bounded version of the same multiset.
 		var tokens []int
 		for wire, cnt := range in {
 			for k := int64(0); k < cnt%8; k++ {
@@ -50,11 +53,19 @@ func FuzzApplyTokensStep(f *testing.F) {
 		for _, w := range tokens {
 			small[w]++
 		}
-		serial, _ := ApplyTokensSerial(net, tokens)
+		pick := func(ready []int) int {
+			if len(sched) == 0 {
+				return 0
+			}
+			k := int(sched[0]) % len(ready)
+			sched = sched[1:]
+			return k
+		}
+		run, _ := RunTokens(net, tokens, pick)
 		quiesced := ApplyTokens(net, small)
-		for i := range serial {
-			if serial[i] != quiesced[i] {
-				t.Fatalf("serial %v != quiescent %v for %v", serial, quiesced, small)
+		for i := range run.Counts {
+			if run.Counts[i] != quiesced[i] {
+				t.Fatalf("scheduled %v != quiescent %v for %v", run.Counts, quiesced, small)
 			}
 		}
 	})

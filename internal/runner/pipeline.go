@@ -120,18 +120,11 @@ func (p *Pipeline) Wait() { p.wg.Wait() }
 // interpret Results batches (which stay in wire order for zero-copy).
 func (p *Pipeline) OutputOrder() []int { return p.net.OutputOrder }
 
-// SortBatches sorts every batch through the network using `workers`
-// data-parallel goroutines over one shared compiled plan, each worker
-// with private scratch. Batches are replaced in place with their sorted
-// contents in network output order (descending). It complements
-// Pipeline: data parallelism across batches rather than pipeline
-// parallelism across layers.
-func SortBatches(net *network.Network, batches [][]int64, workers int) {
-	CompilePlan(net).SortBatches(batches, workers)
-}
-
-// SortBatches is the plan-level SortBatches: callers holding a compiled
-// plan skip recompilation.
+// SortBatches sorts every batch through the plan using `workers`
+// data-parallel goroutines, each worker with private scratch. Batches
+// are replaced in place with their sorted contents in network output
+// order (descending). It complements Pipeline: data parallelism across
+// batches rather than pipeline parallelism across layers.
 func (plan *Plan) SortBatches(batches [][]int64, workers int) {
 	if workers < 1 {
 		workers = 1

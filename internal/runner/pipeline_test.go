@@ -92,6 +92,7 @@ func TestPipelineSubmitPanicsOnWidth(t *testing.T) {
 
 func TestSortBatches(t *testing.T) {
 	net := twoSorter()
+	plan := CompilePlan(net)
 	rng := rand.New(rand.NewSource(7))
 	for _, workers := range []int{1, 2, 5, 100} {
 		batches := make([][]int64, 37)
@@ -103,7 +104,7 @@ func TestSortBatches(t *testing.T) {
 			}
 			wants[i] = ApplyComparators(net, batches[i])
 		}
-		SortBatches(net, batches, workers)
+		plan.SortBatches(batches, workers)
 		for i := range batches {
 			if !reflect.DeepEqual(batches[i], wants[i]) {
 				t.Fatalf("workers=%d batch %d: %v, want %v", workers, i, batches[i], wants[i])
@@ -111,8 +112,8 @@ func TestSortBatches(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	SortBatches(net, nil, 4)
-	SortBatches(net, [][]int64{}, 0)
+	plan.SortBatches(nil, 4)
+	plan.SortBatches([][]int64{}, 0)
 }
 
 func TestPipelineOutputOrderExposed(t *testing.T) {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 
 	"countnet/internal/network"
 )
@@ -14,39 +15,22 @@ import (
 // The transfer function at a width-p balancer with input counts summing
 // to t is exact for any quiescent execution: output j carries
 // ceil((t-j)/p) tokens, because the i-th token to enter leaves on wire
-// i mod p regardless of arrival interleaving.
+// i mod p regardless of arrival interleaving. It panics on a width
+// mismatch or a negative count.
 func ApplyTokens(net *network.Network, in []int64) []int64 {
-	if len(in) != net.Width() {
-		panic(fmt.Sprintf("runner: %d token counts for width-%d network", len(in), net.Width()))
-	}
-	counts := append([]int64(nil), in...)
-	for gi := range net.Gates {
-		g := &net.Gates[gi]
-		p := int64(g.Width())
-		var t int64
-		for _, wire := range g.Wires {
-			if counts[wire] < 0 {
-				panic(fmt.Sprintf("runner: negative token count on wire %d", wire))
-			}
-			t += counts[wire]
-		}
-		q, r := t/p, t%p
-		for j, wire := range g.Wires {
-			counts[wire] = q
-			if int64(j) < r {
-				counts[wire]++
-			}
+	for wire, c := range in {
+		if c < 0 {
+			panic(fmt.Sprintf("runner: negative token count on wire %d", wire))
 		}
 	}
-	out := make([]int64, len(counts))
-	for k, wire := range net.OutputOrder {
-		out[k] = counts[wire]
-	}
-	return out
+	// A fresh Stepper's output buffer belongs to this call alone.
+	return NewStepper(net).Step(in)
 }
 
-// Stepper is a reusable, allocation-free version of ApplyTokens for
-// hot verification loops. Not safe for concurrent use.
+// Stepper runs the quiescent transfer function of ApplyTokens over
+// reused buffers, so hot verification loops step without allocating;
+// ApplyTokens is a one-shot Stepper. Step does not reject negative
+// counts. Not safe for concurrent use.
 type Stepper struct {
 	net    *network.Network
 	counts []int64
@@ -91,22 +75,49 @@ func (s *Stepper) Step(in []int64) []int64 {
 	return s.out
 }
 
-// ApplyTokensSerial simulates a balancing network one token at a time:
-// tokens[k] is the entry wire of the k-th token to enter the network
-// (tokens on distinct wires may be injected in any order in a real
-// execution; serial order is one legal schedule). It returns per-wire
-// exit counts in output order, plus the exit wire position (index into
-// the output order) of each token in injection order.
+// TokenRun is the outcome of RunTokens.
+type TokenRun struct {
+	// Counts holds per-position exit counts in output order.
+	Counts []int64
+	// Exits holds each token's exit position, indexed by token id.
+	Exits []int
+	// ExitRanks holds, per token, how many tokens exited on the same
+	// wire before it. Combined with Exits this yields the
+	// Fetch&Increment value a counting-network counter would assign:
+	// value = ExitRanks[i]*width + Exits[i].
+	ExitRanks []int
+	// Steps is the total number of gate traversals performed.
+	Steps int
+}
+
+// PathStep records one gate traversal of one token.
+type PathStep struct {
+	Gate    int // gate ID
+	Rank    int // arrival rank at that gate (0-based)
+	InWire  int // wire the token arrived on
+	OutWire int // wire the token left on
+}
+
+// RunTokens is the abstract token model: one token per entry in
+// entries (token id = slice index) advances through the network one
+// atomic step at a time, and pick chooses which in-flight token steps
+// next. ready holds the ids of the tokens still in flight, in id
+// order; pick returns a position within it. A step is one gate
+// traversal or, after a token's last gate, its exit — the
+// local-counter access, itself schedulable, which fixes the token's
+// exit rank. pick == nil is the serial schedule: each token runs to
+// completion in injection order.
 //
-// This engine exists to cross-check ApplyTokens — the per-wire exit
-// counts must agree — and to let tests observe individual token paths.
-func ApplyTokensSerial(net *network.Network, tokens []int) (counts []int64, exits []int) {
+// Every balancer access is atomic, so the picks range over all
+// asynchronous executions at balancer granularity. Individual token
+// paths and exit ranks depend on the schedule; the exit counts do not
+// and always equal ApplyTokens. paths[i] lists token i's gate
+// traversals in order. RunTokens panics on out-of-range entry wires.
+func RunTokens(net *network.Network, entries []int, pick func(ready []int) int) (run TokenRun, paths [][]PathStep) {
 	w := net.Width()
 	// Precomputed routing: first gate per wire, successor gate per
-	// (gate, port), and each wire's output-order position. One pass over
-	// the wire/gate incidence replaces the per-token linear scans the
-	// walk used to do (a gate-position search per hop and an O(w)
-	// OutputOrder search per exit), which made large networks quadratic.
+	// (gate, port), and each wire's output-order position, so a step is
+	// O(1) instead of a search of the wire's gate list.
 	entry := make([]int, w)
 	for wire := range entry {
 		entry[wire] = -1
@@ -137,30 +148,97 @@ func ApplyTokensSerial(net *network.Network, tokens []int) (counts []int64, exit
 		outPos[wire] = pos
 	}
 
-	state := make([]int, net.Size()) // tokens seen per gate
-	wireCounts := make([]int64, w)
-	exits = make([]int, len(tokens))
-	for k, wire := range tokens {
-		if wire < 0 || wire >= w {
-			panic(fmt.Sprintf("runner: token enters on wire %d outside width %d", wire, w))
+	n := len(entries)
+	wires := make([]int, n) // each token's current wire
+	next := make([]int, n)  // each token's next gate, -1 when only its exit remains
+	ready := make([]int, n)
+	for i, e := range entries {
+		if e < 0 || e >= w {
+			panic(fmt.Sprintf("runner: token %d enters on wire %d outside width %d", i, e, w))
 		}
-		gid := entry[wire]
-		for gid >= 0 {
-			g := &net.Gates[gid]
-			i := state[gid]
-			state[gid]++
-			port := i % g.Width()
-			wire = g.Wires[port]
-			gid = succ[gid][port]
+		wires[i], next[i], ready[i] = e, entry[e], i
+	}
+	run = TokenRun{Counts: make([]int64, w), Exits: make([]int, n), ExitRanks: make([]int, n)}
+	paths = make([][]PathStep, n)
+	seen := make([]int, net.Size()) // tokens seen per gate
+	exited := make([]int, w)        // tokens exited per wire
+	for len(ready) > 0 {
+		k := 0
+		if pick != nil {
+			k = pick(ready)
 		}
-		wireCounts[wire]++
-		exits[k] = outPos[wire]
+		id := ready[k]
+		gid := next[id]
+		if gid < 0 {
+			// Popping the front in place keeps the serial schedule linear.
+			if k == 0 {
+				ready = ready[1:]
+			} else {
+				ready = append(ready[:k], ready[k+1:]...)
+			}
+			wire := wires[id]
+			run.ExitRanks[id] = exited[wire]
+			exited[wire]++
+			run.Exits[id] = outPos[wire]
+			run.Counts[outPos[wire]]++
+			continue
+		}
+		g := &net.Gates[gid]
+		rank := seen[gid]
+		seen[gid]++
+		port := rank % g.Width()
+		paths[id] = append(paths[id], PathStep{Gate: gid, Rank: rank, InWire: wires[id], OutWire: g.Wires[port]})
+		wires[id], next[id] = g.Wires[port], succ[gid][port]
+		run.Steps++
 	}
-	counts = make([]int64, w)
-	for pos, wire := range net.OutputOrder {
-		counts[pos] = wireCounts[wire]
+	return run, paths
+}
+
+// Script is a RunTokens schedule that advances tokens in an exact
+// prescribed order: order[k] names the token that performs the k-th
+// atomic step. Once the order is exhausted the remaining tokens drain
+// serially. The pick panics if the named token has already finished —
+// that is a bug in the script. Scripts are how directed executions
+// (e.g. linearizability counterexamples) are constructed.
+func Script(order []int) func(ready []int) int {
+	pos := 0
+	return func(ready []int) int {
+		if pos >= len(order) {
+			return 0
+		}
+		want := order[pos]
+		pos++
+		for i, id := range ready {
+			if id == want {
+				return i
+			}
+		}
+		panic(fmt.Sprintf("runner: script step %d names finished token %d", pos-1, want))
 	}
-	return counts, exits
+}
+
+// FormatPaths renders the result of RunTokens as one line per token:
+// the wires visited, the gates traversed with arrival ranks, and the
+// exit position with the Fetch&Increment value the token would be
+// assigned. It is the textual analogue of the token-flow arrows in the
+// paper's Figure 3.
+func FormatPaths(net *network.Network, entries []int, paths [][]PathStep, res TokenRun) string {
+	var sb strings.Builder
+	w := net.Width()
+	for id, entry := range entries {
+		fmt.Fprintf(&sb, "token %d: wire %d", id, entry)
+		for _, st := range paths[id] {
+			label := net.Gates[st.Gate].Label
+			if label == "" {
+				label = fmt.Sprintf("g%d", st.Gate)
+			}
+			fmt.Fprintf(&sb, " -[%s #%d]-> wire %d", label, st.Rank, st.OutWire)
+		}
+		value := res.ExitRanks[id]*w + res.Exits[id]
+		fmt.Fprintf(&sb, "  => exit position %d, value %d\n", res.Exits[id], value)
+	}
+	fmt.Fprintf(&sb, "exit counts (output order): %v\n", res.Counts)
+	return sb.String()
 }
 
 // portOf returns the port index of wire within the gate.

@@ -84,8 +84,8 @@ func TestApplyTokensPanics(t *testing.T) {
 }
 
 func TestApplyTokensSerialMatchesQuiescent(t *testing.T) {
-	// For any network and any token injection, per-wire exit counts from
-	// one-at-a-time simulation equal the quiescent transfer function.
+	// For any network and any token injection, per-wire exit counts of
+	// the serial schedule equal the quiescent transfer function.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		w := 2 + rng.Intn(7)
@@ -102,7 +102,8 @@ func TestApplyTokensSerialMatchesQuiescent(t *testing.T) {
 			tokens[i] = rng.Intn(w)
 			counts[tokens[i]]++
 		}
-		serial, exits := ApplyTokensSerial(n, tokens)
+		run, _ := RunTokens(n, tokens, nil)
+		serial, exits := run.Counts, run.Exits
 		quiesced := ApplyTokens(n, counts)
 		if !reflect.DeepEqual(serial, quiesced) {
 			t.Fatalf("trial %d: serial %v != quiescent %v", trial, serial, quiesced)
@@ -134,13 +135,13 @@ func TestApplyTokensSerialTokenOrderIrrelevantForCounts(t *testing.T) {
 	b.Add([]int{1, 3}, "")
 	n := b.Build("small", nil)
 	tokens := []int{0, 0, 1, 2, 3, 3, 3, 1, 0}
-	want, _ := ApplyTokensSerial(n, tokens)
+	want, _ := RunTokens(n, tokens, nil)
 	for trial := 0; trial < 30; trial++ {
 		shuffled := append([]int(nil), tokens...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		got, _ := ApplyTokensSerial(n, shuffled)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("counts depend on injection order: %v vs %v", got, want)
+		got, _ := RunTokens(n, shuffled, nil)
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Fatalf("counts depend on injection order: %v vs %v", got.Counts, want.Counts)
 		}
 	}
 }
@@ -151,7 +152,7 @@ func TestApplyTokensSerialPanicsOnBadWire(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ApplyTokensSerial(singleBalancer(2), []int{5})
+	RunTokens(singleBalancer(2), []int{5}, nil)
 }
 
 func TestStepperMatchesApplyTokens(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"countnet/internal/pool"
 	"countnet/internal/runner"
 	"countnet/internal/seq"
-	"countnet/internal/sim"
 )
 
 // TokenSystem drives one token per listed entry wire through a fresh
@@ -28,7 +27,7 @@ import (
 //     land on the same quiescent state.
 //
 // Failures embed the token paths of the offending schedule rendered
-// via internal/sim, so a violation reads like the paper's Figure 3.
+// via runner.FormatPaths, so a violation reads like the paper's Figure 3.
 func TokenSystem(net *network.Network, entries []int) System {
 	w := net.Width()
 	in := make([]int64, w)
@@ -67,8 +66,9 @@ func TokenSystem(net *network.Network, entries []int) System {
 
 // FormatTokenSchedule renders a TokenSystem schedule as per-token gate
 // paths: the trace's non-start slices are exactly the atomic steps of
-// the abstract token model, so replaying them as a sim.Script
-// reconstructs every token's route for sim.FormatPaths.
+// the abstract token model, so replaying them through runner.RunTokens
+// as a runner.Script reconstructs every token's route for
+// runner.FormatPaths.
 func FormatTokenSchedule(net *network.Network, entries []int, tr *Trace) string {
 	order := make([]int, 0, len(tr.Ops))
 	for _, op := range tr.Ops {
@@ -77,8 +77,8 @@ func FormatTokenSchedule(net *network.Network, entries []int, tr *Trace) string 
 		}
 		order = append(order, op.Task)
 	}
-	res, paths := sim.RunTraced(net, entries, &sim.Script{Order: order})
-	return sim.FormatPaths(net, entries, paths, res)
+	res, paths := runner.RunTokens(net, entries, runner.Script(order))
+	return runner.FormatPaths(net, entries, paths, res)
 }
 
 // BatchTokenSystem drives a mix of single tokens (one task per entry

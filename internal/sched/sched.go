@@ -9,10 +9,10 @@
 // interleaving replays byte-for-byte from a printed seed or choice
 // list, and a shrinker minimizes the schedule before reporting.
 //
-// The package complements internal/sim: sim explores interleavings of
-// an abstract token model, sched explores interleavings of the real
-// implementations (the atomics, mutexes and condition variables that
-// ship). Strategies cover exhaustive DFS with a bounded-preemption
+// The package complements runner.RunTokens: RunTokens explores
+// interleavings of the abstract token model, sched explores
+// interleavings of the real implementations (the atomics, mutexes and
+// condition variables that ship). Strategies cover exhaustive DFS with a bounded-preemption
 // budget for small configurations and seeded random walks (including a
 // PCT-style priority scheduler) for large ones; see explore.go.
 package sched

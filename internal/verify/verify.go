@@ -184,7 +184,8 @@ func IsCountingNetwork(net *network.Network, rng *rand.Rand) error {
 		tokens = append(tokens, wire)
 		counts[wire]++
 	}
-	serial, _ := runner.ApplyTokensSerial(net, tokens)
+	run, _ := runner.RunTokens(net, tokens, nil)
+	serial := run.Counts
 	quiesced := runner.ApplyTokens(net, counts)
 	for i := range serial {
 		if serial[i] != quiesced[i] {
