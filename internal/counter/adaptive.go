@@ -192,11 +192,8 @@ type AdaptiveCounter struct {
 	cur          atomic.Pointer[adaptiveEpoch]
 	combineBlock atomic.Int32 // governed combining prefetch block
 
-	// hookSwitching is the cooperative switch lock for controlled
-	// runs (see SwitchToHooked); unsafeNoDrain disables the drain
-	// step so tests can prove the exploration harness catches the
-	// resulting lost/duplicated values.
-	hookSwitching bool
+	// unsafeNoDrain disables the drain step so tests can prove the
+	// exploration harness catches the resulting lost/duplicated values.
 	unsafeNoDrain bool
 
 	switches atomic.Int64
@@ -401,25 +398,25 @@ func (h *AdaptiveHandle) Next() int64 {
 		h.n--
 		return v
 	}
-	return h.refill()
+	return h.refill(nil, nil)
 }
 
-// refill draws one prefetch block through the epoch protocol, serves
-// the first value and buffers the rest.
+// NextHooked is Next with schedule instrumentation (see draw). For
+// package sched; do not mix with unhooked calls in a controlled run.
+func (h *AdaptiveHandle) NextHooked(yield func(op string), block func(op string, ready func() bool)) int64 {
+	if h.n == 0 {
+		return h.refill(yield, block)
+	}
+	return h.Next()
+}
+
+// refill draws one prefetch block, serves the first value and buffers
+// the rest.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) refill() int64 {
-	e := h.enter()
-	b := h.c.prefetch(e.kind)
-	buf := h.buf[:b]
-	h.draw(e, buf)
-	h.slot.active.Store(nil)
-	h.slot.ops.Add(int64(b))
-	off := e.offset
-	for i := range buf {
-		buf[i] += off
-	}
-	h.pos, h.n = 1, b-1
+func (h *AdaptiveHandle) refill(yield func(op string), block func(op string, ready func() bool)) int64 {
+	buf := h.draw(nil, yield, block)
+	h.pos, h.n = 1, len(buf)-1
 	return buf[0]
 }
 
@@ -431,14 +428,7 @@ func (h *AdaptiveHandle) NextBlock(dst []int64) {
 	if len(dst) == 0 {
 		return
 	}
-	e := h.enter()
-	h.draw(e, dst)
-	h.slot.active.Store(nil)
-	h.slot.ops.Add(int64(len(dst)))
-	off := e.offset
-	for i := range dst {
-		dst[i] += off
-	}
+	h.draw(dst, nil, nil)
 }
 
 // Unserved returns a copy of the values sitting in the prefetch buffer
@@ -453,61 +443,100 @@ func (h *AdaptiveHandle) Unserved() []int64 {
 // handle's slot, then re-check the seal. Both sides are seq-cst, and
 // the switcher seals before scanning slots, so either we see the seal
 // and retry, or the switcher sees our publish and waits for us to
-// retire (Dekker handshake).
+// retire (Dekker handshake). Hooks: yield before each shared step, and
+// block parks until the sealed epoch is replaced instead of spinning.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) enter() *adaptiveEpoch {
+func (h *AdaptiveHandle) enter(yield func(op string), block func(op string, ready func() bool)) *adaptiveEpoch {
 	s, c := h.slot, h.c
 	for {
+		step(yield, "epoch load")
 		e := c.cur.Load()
+		step(yield, "slot publish")
 		s.active.Store(e)
+		step(yield, "seal check")
 		if !e.sealed.Load() {
 			return e
 		}
+		step(yield, "slot clear")
 		s.active.Store(nil)
-		// Production-only spin while the switch completes; controlled
-		// runs use the hooked paths, which park via Yield.Block.
+		if block != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil block
+			block("epoch turnover", func() bool { return c.cur.Load() != e })
+			continue
+		}
 		//netvet:allow gosched
 		runtime.Gosched()
 	}
 }
 
-// draw routes a pinned draw to the epoch's engine.
+// draw pins the epoch, fills dst from its engine (nil dst: the handle
+// buffer, sized to the engine's prefetch block), retires, and returns
+// dst rebased by the epoch offset. Hooks pass through to every step.
 //
 //netvet:hotpath
-func (h *AdaptiveHandle) draw(e *adaptiveEpoch, dst []int64) {
+func (h *AdaptiveHandle) draw(dst []int64, yield func(op string), block func(op string, ready func() bool)) []int64 {
+	e := h.enter(yield, block)
+	if dst == nil {
+		dst = h.buf[:h.c.prefetch(e.kind)]
+	}
 	switch e.kind {
 	case EngineAtomic:
+		step(yield, "atomic draw")
 		h.c.atomicEng.NextBlock(dst)
 	case EngineNetwork:
-		h.netH.NextBlock(dst)
+		h.netH.nextBlock(dst, yield)
 	default:
-		h.combH.NextBlock(dst)
+		h.combH.NextBlockHooked(dst, yield, block)
 	}
+	step(yield, "slot clear")
+	h.slot.active.Store(nil)
+	h.slot.ops.Add(int64(len(dst)))
+	off := e.offset
+	for i := range dst {
+		dst[i] += off
+	}
+	return dst
 }
 
 // SwitchTo switches the active engine, preserving the gap-free step
 // property via the seal → drain → fence → install sequence documented
 // on the package. A switch to the already-active engine is a no-op.
 // Safe to call concurrently with draws and other switches.
-func (c *AdaptiveCounter) SwitchTo(kind EngineKind) { c.switchTo(kind, "manual") }
+func (c *AdaptiveCounter) SwitchTo(kind EngineKind) { c.switchTo(kind, "manual", nil, nil) }
+
+// SwitchToHooked is SwitchTo with schedule instrumentation: the switch
+// lock and the drain park via block instead of blocking or spinning.
+// For package sched; do not mix with unhooked switches in one run.
+func (c *AdaptiveCounter) SwitchToHooked(kind EngineKind, yield func(op string), block func(op string, ready func() bool)) {
+	c.switchTo(kind, "hooked", yield, block)
+}
 
 // switchTo performs the epoch handoff. The step markers below are
 // checked by netvet's epochorder analyzer: every path to a later step
 // must pass through the earlier ones, so a reordering (or a branch
-// that skips the drain) fails `make lint`.
+// that skips the drain) fails `make lint`. The drain marker sits on
+// the unsafeNoDrain guard: the guard itself is on every path (the
+// skip is a runtime flag tests flip deliberately, not a code-level
+// reordering).
 //
 //netvet:epochorder seal drain fence install
-func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string) bool {
+func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string, yield func(op string), block func(op string, ready func() bool)) {
 	if kind < 0 || kind >= numEngineKinds {
 		panic(fmt.Sprintf("countnet/counter: unknown engine kind %d", kind))
 	}
+	if block != nil {
+		// Once the probe sees the lock free, Lock cannot wait.
+		block("switch lock", func() bool { return lockFree(&c.switchMu) })
+	}
 	c.switchMu.Lock()
 	defer c.switchMu.Unlock()
+	step(yield, "epoch load")
 	e := c.cur.Load()
 	if e.kind == kind {
-		return false
+		return
 	}
+	step(yield, "seal")
 	//netvet:epoch seal
 	e.sealed.Store(true)
 	obs.RecordFlight(obs.FlightEpochSeal, int64(e.kind), int64(kind))
@@ -516,27 +545,22 @@ func (c *AdaptiveCounter) switchTo(kind EngineKind, reason string) bool {
 	// retired. Handles that published after seeing the seal unpublish
 	// and retry, so this terminates as soon as in-flight draws finish.
 	//netvet:epoch drain
-	for _, s := range *c.slots.Load() {
-		for s.active.Load() == e {
-			//netvet:allow gosched
-			runtime.Gosched()
+	if !c.unsafeNoDrain {
+		for i, s := range *c.slots.Load() {
+			if block != nil {
+				block(fmt.Sprintf("drain slot %d", i), func() bool { return s.active.Load() != e })
+			}
+			for s.active.Load() == e {
+				//netvet:allow gosched
+				runtime.Gosched()
+			}
 		}
 	}
 	obs.RecordFlight(obs.FlightEpochDrain, int64(e.kind), int64(len(*c.slots.Load())))
-	//netvet:epoch fence install
-	c.install(e, kind, reason)
-	return true
-}
-
-// install reads the sealed epoch's fence, folds it into the base, and
-// publishes the next epoch. Caller must have sealed e and drained
-// every slot (holding either switchMu or the cooperative hook lock).
-// The fence read must precede the epoch publish — installing first
-// would let new draws move the outgoing engine's issued count after
-// the base was computed, minting duplicate values.
-//
-//netvet:epochorder fence install
-func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason string) {
+	step(yield, "install")
+	// The fence read must precede the epoch publish: installing first
+	// would let new draws move the outgoing engine's issued count after
+	// the base was computed, minting duplicate values.
 	//netvet:epoch fence
 	c.base = e.offset + c.engineIssued(e.kind)
 	obs.RecordFlight(obs.FlightEpochFence, int64(e.kind), c.base)
@@ -550,79 +574,6 @@ func (c *AdaptiveCounter) install(e *adaptiveEpoch, kind EngineKind, reason stri
 		o.Strategy.Store(int64(kind))
 		o.SetReason(reason)
 	}
-}
-
-// --- controlled-run (internal/sched) paths ---
-
-// NextHooked is Next with schedule instrumentation and without
-// prefetch: every shared atomic step of the epoch protocol and of the
-// underlying engine yields first, and waiting parks via block instead
-// of spinning. For package sched; do not mix with unhooked calls in a
-// controlled run.
-func (h *AdaptiveHandle) NextHooked(yield func(op string), block func(op string, ready func() bool)) int64 {
-	s, c := h.slot, h.c
-	for {
-		yield("epoch load")
-		e := c.cur.Load()
-		yield("slot publish")
-		s.active.Store(e)
-		yield("seal check")
-		if e.sealed.Load() {
-			yield("slot clear")
-			s.active.Store(nil)
-			block("epoch turnover", func() bool { return c.cur.Load() != e })
-			continue
-		}
-		var v int64
-		switch e.kind {
-		case EngineAtomic:
-			yield("atomic draw")
-			v = c.atomicEng.Next()
-		case EngineNetwork:
-			v = h.netH.NextHooked(yield)
-		default:
-			var one [1]int64
-			c.combiningEng.NextBlockHooked(one[:], yield, block)
-			v = one[0]
-		}
-		yield("slot clear")
-		s.active.Store(nil)
-		s.ops.Add(1)
-		return e.offset + v
-	}
-}
-
-// SwitchToHooked is SwitchTo with schedule instrumentation: the switch
-// lock becomes a cooperative flag, the drain parks on each slot via
-// block. For package sched; do not mix with unhooked switches in a
-// controlled run. The drain marker sits on the unsafeNoDrain guard:
-// the guard itself is on every path (the skip is a runtime flag tests
-// flip deliberately, not a code-level reordering).
-//
-//netvet:epochorder seal drain fence install
-func (c *AdaptiveCounter) SwitchToHooked(kind EngineKind, yield func(op string), block func(op string, ready func() bool)) {
-	block("switch lock", func() bool { return !c.hookSwitching })
-	c.hookSwitching = true
-	yield("epoch load")
-	e := c.cur.Load()
-	if e.kind == kind {
-		c.hookSwitching = false
-		return
-	}
-	yield("seal")
-	//netvet:epoch seal
-	e.sealed.Store(true)
-	//netvet:epoch drain
-	if !c.unsafeNoDrain {
-		for i, s := range *c.slots.Load() {
-			s := s
-			block(fmt.Sprintf("drain slot %d", i), func() bool { return s.active.Load() != e })
-		}
-	}
-	yield("install")
-	//netvet:epoch fence install
-	c.install(e, kind, "hooked")
-	c.hookSwitching = false
 }
 
 // --- governor ---
@@ -744,7 +695,7 @@ func (c *AdaptiveCounter) govTick(g *govState) {
 	}
 	if g.streak >= c.pol.DwellTicks {
 		g.streak = 0
-		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", load, want))
+		c.switchTo(want, fmt.Sprintf("load %.2f -> %s", load, want), nil, nil)
 	}
 }
 

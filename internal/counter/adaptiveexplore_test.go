@@ -15,16 +15,35 @@ import (
 	"countnet/internal/sched"
 )
 
+// explorePolicies are the prefetch settings the explored suites run
+// under: one value per draw, and two, so a second Next is served from
+// the prefetch buffer and a run can end with values still unserved.
+var explorePolicies = []struct {
+	name     string
+	prefetch int
+}{
+	{"prefetch1", 1},
+	{"prefetch2", 2},
+}
+
+// prefetchPolicy returns the default policy with every engine's
+// prefetch block set to b.
+func prefetchPolicy(b int) *counter.AdaptivePolicy {
+	pol := counter.DefaultAdaptivePolicy()
+	pol.Prefetch = [3]int{b, b, b}
+	return &pol
+}
+
 // adaptiveBuild returns a builder for a fresh adaptive counter on the
-// given initial engine over K(2,2).
-func adaptiveBuild(t *testing.T, initial counter.EngineKind) func() *counter.AdaptiveCounter {
+// given initial engine over K(2,2), under the given policy.
+func adaptiveBuild(t *testing.T, initial counter.EngineKind, pol *counter.AdaptivePolicy) func() *counter.AdaptiveCounter {
 	t.Helper()
 	net, err := core.K(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, initial, nil)
+		return counter.NewAdaptiveCounter(net, initial, pol)
 	}
 }
 
@@ -45,16 +64,19 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 		{"network->combining->network", counter.EngineNetwork,
 			[]counter.EngineKind{counter.EngineCombining, counter.EngineNetwork}},
 	}
-	for _, tc := range plans {
-		sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial), 2, 2, tc.plan)
-		if rep := sched.ExploreRandom(sys, 0xadab, 200, 30_000); rep.Failure != nil {
-			t.Errorf("%s random: %s", tc.name, rep.Failure)
-		}
-		if rep := sched.ExplorePCT(sys, 0xadab, 200, 30_000, 3, 3); rep.Failure != nil {
-			t.Errorf("%s pct: %s", tc.name, rep.Failure)
-		}
-		if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
-			t.Errorf("%s dfs: %s", tc.name, rep.Failure)
+	for _, pc := range explorePolicies {
+		for _, tc := range plans {
+			name := pc.name + " " + tc.name
+			sys := sched.AdaptiveSystem(adaptiveBuild(t, tc.initial, prefetchPolicy(pc.prefetch)), 2, 2, tc.plan)
+			if rep := sched.ExploreRandom(sys, 0xadab, 200, 30_000); rep.Failure != nil {
+				t.Errorf("%s random: %s", name, rep.Failure)
+			}
+			if rep := sched.ExplorePCT(sys, 0xadab, 200, 30_000, 3, 3); rep.Failure != nil {
+				t.Errorf("%s pct: %s", name, rep.Failure)
+			}
+			if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+				t.Errorf("%s dfs: %s", name, rep.Failure)
+			}
 		}
 	}
 }
@@ -65,12 +87,14 @@ func TestAdaptiveTransitionsExplored(t *testing.T) {
 // from its previous epoch.
 func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
 	plan := []counter.EngineKind{counter.EngineNetwork, counter.EngineAtomic}
-	sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic), 2, 2, plan)
-	if rep := sched.ExploreRandom(sys, 0xcafe, 300, 30_000); rep.Failure != nil {
-		t.Errorf("random: %s", rep.Failure)
-	}
-	if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
-		t.Errorf("dfs: %s", rep.Failure)
+	for _, pc := range explorePolicies {
+		sys := sched.AdaptiveSystem(adaptiveBuild(t, counter.EngineAtomic, prefetchPolicy(pc.prefetch)), 2, 2, plan)
+		if rep := sched.ExploreRandom(sys, 0xcafe, 300, 30_000); rep.Failure != nil {
+			t.Errorf("%s random: %s", pc.name, rep.Failure)
+		}
+		if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+			t.Errorf("%s dfs: %s", pc.name, rep.Failure)
+		}
 	}
 }
 
@@ -79,23 +103,22 @@ func TestAdaptiveRevisitsEngineExplored(t *testing.T) {
 // still in flight, and exploration must find a schedule that loses or
 // duplicates a value.
 func TestAdaptiveUndrainedSwitchRefuted(t *testing.T) {
-	net, err := core.K(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() *counter.AdaptiveCounter {
-		c := counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
-		c.UnsafeDisableDrainForTest()
-		return c
-	}
 	plan := []counter.EngineKind{counter.EngineNetwork}
-	sys := sched.AdaptiveSystem(build, 2, 2, plan)
-	rep := sched.ExploreRandom(sys, 7, 10_000, 30_000)
-	if rep.Failure == nil {
-		t.Fatal("undrained engine switch not detected by exploration")
+	for _, pc := range explorePolicies {
+		fresh := adaptiveBuild(t, counter.EngineAtomic, prefetchPolicy(pc.prefetch))
+		build := func() *counter.AdaptiveCounter {
+			c := fresh()
+			c.UnsafeDisableDrainForTest()
+			return c
+		}
+		sys := sched.AdaptiveSystem(build, 2, 2, plan)
+		rep := sched.ExploreRandom(sys, 7, 10_000, 30_000)
+		if rep.Failure == nil {
+			t.Fatalf("%s: undrained engine switch not detected by exploration", pc.name)
+		}
+		if !strings.Contains(rep.Failure.Err.Error(), "gap-free") {
+			t.Fatalf("%s: unexpected failure: %v", pc.name, rep.Failure.Err)
+		}
+		t.Logf("%s: detected in %d schedule(s): %v", pc.name, rep.Schedules, rep.Failure.Err)
 	}
-	if !strings.Contains(rep.Failure.Err.Error(), "gap-free") {
-		t.Fatalf("unexpected failure: %v", rep.Failure.Err)
-	}
-	t.Logf("detected in %d schedule(s): %v", rep.Schedules, rep.Failure.Err)
 }

@@ -46,13 +46,6 @@ type CombiningCounter struct {
 	// the combine pass and the handle spin loop pay one nil-check each
 	// when disabled.
 	watch *obs.CombineObs
-
-	// hookHeld is the cooperative combiner lock for controlled runs:
-	// hooked passes cannot take c.combine across yield points (a sched
-	// ready() predicate must be side-effect free, so TryLock is out),
-	// so they park on this flag via Yield.Block instead. Never mixed
-	// with the production lock within one controlled run.
-	hookHeld bool
 }
 
 // slot states. Only the owning handle moves idle->pending and
@@ -129,7 +122,7 @@ func (c *CombiningCounter) NextBlock(dst []int64) {
 		return
 	}
 	c.combine.Lock()
-	c.combineLocked(dst)
+	c.combineLocked(dst, nil)
 	c.combine.Unlock()
 }
 
@@ -163,7 +156,7 @@ func (h *CombiningHandle) Next() int64 {
 	s := h.slot
 	s.n = 1
 	s.buf = s.one[:]
-	h.await()
+	h.await(nil, nil)
 	return s.one[0]
 }
 
@@ -179,25 +172,41 @@ func (h *CombiningHandle) NextBlock(dst []int64) {
 	s := h.slot
 	s.n = int32(len(dst))
 	s.buf = dst
-	h.await()
+	h.await(nil, nil)
+}
+
+// NextBlockHooked is NextBlock with schedule instrumentation (see
+// await); the request may be served by another handle's pass. For
+// package sched; do not mix with unhooked calls in a controlled run.
+func (h *CombiningHandle) NextBlockHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
+	if len(dst) == 0 {
+		return
+	}
+	s := h.slot
+	s.n = int32(len(dst))
+	s.buf = dst
+	h.await(yield, block)
 }
 
 // await publishes the prepared request and blocks until it is served —
 // by this goroutine becoming the combiner, or by another combiner
-// draining the slot.
+// draining the slot. Hooks: yield before every shared step, and block
+// parks the wait until the slot is served or the lock is free.
 //
 //netvet:hotpath
-func (h *CombiningHandle) await() {
+func (h *CombiningHandle) await(yield func(op string), block func(op string, ready func() bool)) {
 	s, c := h.slot, h.c
 	o := c.watch
+	step(yield, "slot publish")
 	s.state.Store(slotPending)
 	for {
+		step(yield, "combine trylock")
 		if c.combine.TryLock() {
 			// We are the combiner. combineLocked serves every pending
 			// slot it finds; ours is pending (or was just served by the
 			// previous combiner, in which case it is done and skipped).
 			if s.state.Load() == slotPending {
-				c.combineLocked(nil)
+				c.combineLocked(nil, yield)
 			}
 			c.combine.Unlock()
 		}
@@ -206,69 +215,26 @@ func (h *CombiningHandle) await() {
 			return
 		}
 		// Another combiner holds the lock but had already collected its
-		// batch before our publish. Yield and retry.
+		// batch before our publish. Wait and retry.
 		if o != nil {
 			o.SpinRetries.Inc()
 		}
-		// Production-only spin; controlled runs use the hooked paths,
-		// which park via Yield.Block instead of spinning.
+		if block != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil block
+			block("combine wait", func() bool { return s.state.Load() == slotDone || lockFree(&c.combine) })
+			continue
+		}
 		//netvet:allow gosched
 		runtime.Gosched()
 	}
 }
 
-// NextBlockHooked fills dst with len(dst) fresh values under schedule
-// instrumentation: the combiner lock becomes a cooperative flag parked
-// on via block, and the batch traversal and per-exit claims yield
-// before every shared atomic step. Hooked passes serve only their own
-// request (no slot draining — controlled runs drive each goroutine's
-// demand directly), which is still one legal execution of the batch.
-// For package sched; do not mix with unhooked calls in a controlled
-// run.
-func (c *CombiningCounter) NextBlockHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
-	if len(dst) == 0 {
-		return
-	}
-	block("combine lock", func() bool { return !c.hookHeld })
-	c.hookHeld = true
-	c.inject(int64(len(dst)))
-	out := c.async.TraverseBatchHooked(c.entry, yield)
-	i := 0
-	for pos, k := range out {
-		if k == 0 {
-			continue
-		}
-		yield(fmt.Sprintf("local claim %d", pos))
-		base := c.locals[pos].v.Add(k) - k
-		for m := int64(0); m < k; m++ {
-			dst[i] = (base+m)*c.width + int64(pos)
-			i++
-		}
-	}
-	c.hookHeld = false
-}
-
-// inject spreads q tokens over c.entry round-robin from the entry
-// cursor and advances the cursor past them. The counting property holds
-// for any distribution of tokens over input wires, so the cursor only
-// spreads load, it does not affect correctness. Caller must hold the
-// combiner lock (c.combine, or hookHeld in controlled runs).
+// hookedExits is a hooked pass's batch traversal, out of line so its
+// fresh exit slice stays off combineLocked's allocation-free body.
 //
-//netvet:hotpath
-func (c *CombiningCounter) inject(q int64) {
-	w, base := int(c.width), q/c.width
-	for i := range c.entry {
-		c.entry[i] = base
-	}
-	n := c.cursor
-	for q %= c.width; q > 0; q-- {
-		c.entry[n]++
-		n++
-		if n == w {
-			n = 0
-		}
-	}
-	c.cursor = n
+//go:noinline
+func (c *CombiningCounter) hookedExits(yield func(op string)) []int64 {
+	return c.async.TraverseBatchHooked(c.entry, yield)
 }
 
 // issued returns the number of values handed out (see
@@ -284,18 +250,22 @@ func (c *CombiningCounter) issued() int64 {
 // combineLocked drains every pending slot plus the combiner's own
 // direct request (extra, nil for handle-driven passes), pushes the
 // whole demand through the network as one batch, and distributes the
-// minted values. Caller must hold c.combine.
+// minted values. Caller must hold c.combine. A non-nil yield runs
+// before every shared step; hooked passes record obs counts but read
+// no clock (no PassNs sample, no trace region).
 //
 //netvet:hotpath
-func (c *CombiningCounter) combineLocked(extra []int64) {
+func (c *CombiningCounter) combineLocked(extra []int64, yield func(op string)) {
 	// Observability is woven into this one body (unlike Traverse's
 	// split) because a pass already amortizes a whole batch traversal:
 	// the nil-checks below are noise next to the work they guard.
 	o := c.watch
+	timed := o != nil && yield == nil
 	var start int64
-	if o != nil {
+	if timed {
 		start = obs.Now()
 	}
+	step(yield, "slot collect")
 	pend := c.pending[:0]
 	total := int64(len(extra))
 	for _, s := range *c.slots.Load() {
@@ -309,24 +279,49 @@ func (c *CombiningCounter) combineLocked(extra []int64) {
 		c.pending = pend
 		return
 	}
-	var region *obs.TraceRegion
 	if o != nil {
 		o.Passes.Inc()
 		o.PassQueue.Observe(int64(len(pend)))
 		o.PassServed.Observe(total)
+	}
+	var region *obs.TraceRegion
+	if timed {
 		// The region and clock close explicitly at the bottom of the
 		// pass (control flow past this point is straight-line), so the
 		// sample covers the full pass without a defer on the hot path.
 		//netvet:allow escape -- context.Background's zero-size boxing at trace.StartRegion; no runtime allocation (BenchmarkObsOverhead alloc guard)
 		region = obs.Region("countnet.combine-pass")
 	}
-	c.inject(total)
-	c.async.TraverseBatchInto(c.exits, c.entry, c.scratch)
+	// Inject round-robin from the cursor: any distribution over input
+	// wires counts, so the cursor only spreads load.
+	w, even := int(c.width), total/c.width
+	for i := range c.entry {
+		c.entry[i] = even
+	}
+	n := c.cursor
+	for q := total % c.width; q > 0; q-- {
+		c.entry[n]++
+		n++
+		if n == w {
+			n = 0
+		}
+	}
+	c.cursor = n
+	exits := c.exits
+	if yield == nil {
+		c.async.TraverseBatchInto(exits, c.entry, c.scratch)
+	} else {
+		exits = c.hookedExits(yield)
+	}
 	// Claim one value range per touched exit wire and mint the values.
 	vals := c.vals[:0]
-	for pos, k := range c.exits {
+	for pos, k := range exits {
 		if k == 0 {
 			continue
+		}
+		if yield != nil {
+			//netvet:allow hotpath escape -- sched-hooked lane only; production callers pass a nil yield
+			yield(fmt.Sprintf("local claim %d", pos))
 		}
 		base := c.locals[pos].v.Add(k) - k
 		for m := int64(0); m < k; m++ {
@@ -340,12 +335,13 @@ func (c *CombiningCounter) combineLocked(extra []int64) {
 	for _, s := range pend {
 		i += copy(s.buf[:s.n], vals[i:])
 		s.buf = nil // release the waiter's buffer before waking it
+		step(yield, "slot release")
 		s.state.Store(slotDone)
 	}
 	copy(extra, vals[i:])
 	c.pending = pend[:0]
 	c.vals = vals[:0]
-	if o != nil {
+	if timed {
 		region.End()
 		// The clock reads here, start bound at entry: the sample covers
 		// the full pass. The region bracketed the same span for traces.

@@ -222,21 +222,40 @@ func (h *handle) Next() int64 {
 // NextBlock fills dst with len(dst) values, one token each.
 //
 //netvet:hotpath
-func (h *handle) NextBlock(dst []int64) {
+func (h *handle) NextBlock(dst []int64) { h.nextBlock(dst, nil) }
+
+// nextBlock is NextBlock's body; a non-nil yield instruments every
+// token (see nextOn). The private wire cursor is goroutine-local.
+//
+//netvet:hotpath
+func (h *handle) nextBlock(dst []int64, yield func(op string)) {
 	for i := range dst {
-		dst[i] = h.Next()
+		wire := h.pos
+		h.pos++
+		if h.pos == h.c.width {
+			h.pos = 0
+		}
+		dst[i] = h.c.nextOn(wire, yield)
 	}
 }
 
-// NextHooked is Next with schedule instrumentation (the private wire
-// cursor needs no yield — it is goroutine-local). For package sched.
-func (h *handle) NextHooked(yield func(op string)) int64 {
-	wire := h.pos
-	h.pos++
-	if h.pos == h.c.width {
-		h.pos = 0
+// step runs a non-nil schedule hook before the shared access labelled
+// op; production callers pass a nil yield and pay one nil-check.
+func step(yield func(op string), op string) {
+	if yield != nil {
+		yield(op)
 	}
-	return h.c.nextOn(wire, yield)
+}
+
+// lockFree probes mu with TryLock. Only for controlled-run readiness
+// predicates: sched evaluates them while every task is parked, so the
+// probe cannot race or stall a real acquirer.
+func lockFree(mu *sync.Mutex) bool {
+	if mu.TryLock() {
+		mu.Unlock()
+		return true
+	}
+	return false
 }
 
 // issued returns the number of values this counter has handed out,

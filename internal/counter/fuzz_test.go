@@ -43,7 +43,8 @@ func FuzzCounterSchedules(f *testing.F) {
 // Unlike the plain counter workload the adaptive one blocks (epoch
 // turnover, drain), so the decoder only ever picks among runnable
 // tasks; any reported error is still a real bug, and the gap-free
-// check at quiescence is the oracle.
+// check at quiescence (consumed plus unserved values) is the oracle.
+// Draws prefetch two values, so buffered values race the switches too.
 func FuzzAdaptiveSchedules(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -57,8 +58,32 @@ func FuzzAdaptiveSchedules(f *testing.F) {
 		counter.EngineNetwork, counter.EngineCombining, counter.EngineAtomic,
 	}
 	sys := sched.AdaptiveSystem(func() *counter.AdaptiveCounter {
-		return counter.NewAdaptiveCounter(net, counter.EngineAtomic, nil)
+		return counter.NewAdaptiveCounter(net, counter.EngineAtomic, prefetchPolicy(2))
 	}, 2, 2, plan)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tasks, check := sys()
+		tr, err := sched.Run(&sched.ByteDecoder{Data: data}, 30_000, tasks)
+		if err == nil {
+			err = check(tr)
+		}
+		if err != nil {
+			t.Fatalf("schedule bytes %x: %v", data, err)
+		}
+	})
+}
+
+// FuzzCombiningSchedules drives three combining handles, each drawing
+// a block of 1 then a block of 3, through fuzz-chosen interleavings of
+// the flat-combining slot protocol. Waiters park until served or until
+// the combiner lock is free, so the decoder only ever picks among
+// runnable tasks; any reported error is a real bug, and the gap-free
+// check at quiescence is the oracle.
+func FuzzCombiningSchedules(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 2, 0, 1, 2})
+	f.Add([]byte{255, 127, 63, 31, 15, 7, 3, 1})
+	sys := sched.CombiningSystem(combiningBuild(f), 3, combiningBlocks)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks, check := sys()
 		tr, err := sched.Run(&sched.ByteDecoder{Data: data}, 30_000, tasks)

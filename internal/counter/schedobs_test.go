@@ -77,3 +77,67 @@ func TestCounterObsUnderExploredSchedules(t *testing.T) {
 		t.Errorf("dfs: %s", rep.Failure)
 	}
 }
+
+// observedCombiningSystem wraps sched.CombiningSystem with an observed
+// counter: besides the gap-free oracle, each schedule must count every
+// pass (passes, pass_queue and pass_served samples, whose served total
+// is every value drawn) and record no pass_ns sample. maxQueue
+// collects the deepest pass queue seen across schedules.
+func observedCombiningSystem(t *testing.T, goroutines int, blocks []int, maxQueue *int64) sched.System {
+	fresh := combiningBuild(t)
+	var o *obs.CombineObs
+	sys := sched.CombiningSystem(func() *counter.CombiningCounter {
+		c := fresh()
+		o = c.EnableObs("explored", obs.NewRegistry())
+		return c
+	}, goroutines, blocks)
+	want := int64(0)
+	for _, b := range blocks {
+		want += int64(goroutines * b)
+	}
+	return func() ([]sched.TaskFunc, func(tr *sched.Trace) error) {
+		tasks, check := sys()
+		o := o
+		return tasks, func(tr *sched.Trace) error {
+			if err := check(tr); err != nil {
+				return err
+			}
+			passes := o.Passes.Load()
+			if passes == 0 {
+				return fmt.Errorf("observed combining run counted no passes")
+			}
+			queue, served := o.PassQueue.Snapshot(), o.PassServed.Snapshot()
+			if queue.Count != passes || served.Count != passes {
+				return fmt.Errorf("passes = %d but pass_queue has %d samples and pass_served %d; want one each per pass",
+					passes, queue.Count, served.Count)
+			}
+			if served.Sum != want {
+				return fmt.Errorf("pass_served sums to %d, want %d (every value drawn)", served.Sum, want)
+			}
+			if n := o.PassNs.Snapshot().Count; n != 0 {
+				return fmt.Errorf("hooked passes recorded %d pass_ns samples; hooked runs must not read the clock", n)
+			}
+			*maxQueue = max(*maxQueue, queue.Max)
+			return nil
+		}
+	}
+}
+
+// TestCombiningObsUnderExploredSchedules: random and bounded-exhaustive
+// exploration over an observed combining counter — observability must
+// not break the gap-free invariant or deterministic replay, hooked
+// passes are counted but not timed, and some explored pass serves more
+// than one handle's slot (the combining protocol is really explored).
+func TestCombiningObsUnderExploredSchedules(t *testing.T) {
+	var maxQueue int64
+	sys := observedCombiningSystem(t, 3, combiningBlocks, &maxQueue)
+	if rep := sched.ExploreRandom(sys, 0xcafe, 150, 30_000); rep.Failure != nil {
+		t.Errorf("random: %s", rep.Failure)
+	}
+	if rep := sched.ExploreDFS(sys, 1, 20_000, 30_000); rep.Failure != nil {
+		t.Errorf("dfs: %s", rep.Failure)
+	}
+	if maxQueue < 2 {
+		t.Errorf("deepest explored pass queue = %d; no pass served another handle's slot", maxQueue)
+	}
+}

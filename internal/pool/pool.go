@@ -46,12 +46,47 @@ type buffer[T any] struct {
 	_  [64]byte
 	mu sync.Mutex
 	cv *sync.Cond
-	// items[k] holds the k-th item assigned to this buffer; a slice
-	// keeps the rank matching exact (a queue per buffer). taken counts
-	// consumed slots (consumption can happen out of rank order when a
-	// high-rank getter is scheduled before a low-rank one).
-	items []T
-	taken int
+	// items[k] holds the buffer's (base+k)-th item; a queue keeps the
+	// rank matching exact. Takes can come out of rank order, so entries
+	// are marked taken and take drops the taken prefix: memory tracks
+	// outstanding items, not every item the buffer ever moved.
+	items []entry[T]
+	base  int // rank of items[0]
+	head  int // items[:head] are taken
+	live  int // items put and not yet taken
+}
+
+// entry is one queued item and whether its getter has taken it.
+type entry[T any] struct {
+	item  T
+	taken bool
+}
+
+// has reports whether rank's item has been put. Caller holds b.mu.
+func (b *buffer[T]) has(rank int) bool { return rank < b.base+len(b.items) }
+
+// take removes and returns rank's item (put, not yet taken). Once the
+// taken prefix is half the queue the rest moves to the front of the
+// backing array: amortized O(1), and the array is reused rather than
+// grown with the buffer's history. Caller holds b.mu.
+//
+//netvet:hotpath
+func (b *buffer[T]) take(rank int) T {
+	e := &b.items[rank-b.base]
+	item := e.item
+	*e = entry[T]{taken: true} // release the item for GC; slots are single-consumer
+	b.live--
+	for b.head < len(b.items) && b.items[b.head].taken {
+		b.head++
+	}
+	if b.head > 0 && 2*b.head >= len(b.items) {
+		n := copy(b.items, b.items[b.head:])
+		clear(b.items[n:])
+		b.items = b.items[:n]
+		b.base += b.head
+		b.head = 0
+	}
+	return item
 }
 
 // New builds a pool over the given counting network (its width sets the
@@ -136,8 +171,9 @@ func (p *Pool[T]) putAt(v int64, item T) {
 	}
 	b := &p.bufs[v%int64(p.width)]
 	b.mu.Lock()
-	//netvet:allow append -- per-buffer queue grows with outstanding items by design; rank matching needs the whole history
-	b.items = append(b.items, item)
+	//netvet:allow append -- per-buffer queue grows with outstanding items by design; take drops consumed ranks
+	b.items = append(b.items, entry[T]{item: item})
+	b.live++
 	b.mu.Unlock()
 	b.cv.Broadcast()
 }
@@ -151,16 +187,13 @@ func (p *Pool[T]) getAt(v int64) T {
 	b := &p.bufs[v%int64(p.width)]
 	rank := int(v / int64(p.width)) // this consumer takes the rank-th item of the buffer
 	b.mu.Lock()
-	for len(b.items) <= rank {
+	for !b.has(rank) {
 		if o != nil {
 			o.GetWaits.Inc() // counts each park, so futile wakeups show
 		}
 		b.cv.Wait()
 	}
-	item := b.items[rank]
-	var zero T
-	b.items[rank] = zero // release for GC; slots are single-consumer
-	b.taken++
+	item := b.take(rank)
 	b.mu.Unlock()
 	return item
 }
@@ -187,7 +220,7 @@ func (p *Pool[T]) GetHooked(yield func(op string), block func(op string, ready f
 	rank := int(v / int64(p.width))
 	block(fmt.Sprintf("take buf %d rank %d", v%int64(p.width), rank), func() bool {
 		b.mu.Lock()
-		ok := len(b.items) > rank
+		ok := b.has(rank)
 		b.mu.Unlock()
 		return ok
 	})
@@ -201,7 +234,7 @@ func (p *Pool[T]) Len() int {
 	for i := range p.bufs {
 		b := &p.bufs[i]
 		b.mu.Lock()
-		n += len(b.items) - b.taken
+		n += b.live
 		b.mu.Unlock()
 	}
 	return n

@@ -149,3 +149,54 @@ func TestPoolManyMoreGettersQueued(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolMemoryTracksOutstandingItems: a long run with at most one item
+// outstanding must leave every buffer's queue small — the queue holds
+// outstanding items, not the history of every item moved.
+func TestPoolMemoryTracksOutstandingItems(t *testing.T) {
+	p := New[int](testNet(t))
+	h := p.Handle(0)
+	for i := 0; i < 1<<20; i++ {
+		h.Put(i)
+		if got := h.Get(); got != i {
+			t.Fatalf("pair %d: got item %d", i, got)
+		}
+	}
+	if n := p.Len(); n != 0 {
+		t.Fatalf("Len = %d after balanced pairs", n)
+	}
+	for i := range p.bufs {
+		if c := cap(p.bufs[i].items); c > 4 {
+			t.Errorf("buffer %d: queue capacity %d after 1<<20 pairs with one item outstanding", i, c)
+		}
+	}
+}
+
+// TestPoolOutOfOrderTakes: takes in reverse rank order leave the queue
+// intact until the lowest rank goes, and Len stays exact throughout.
+func TestPoolOutOfOrderTakes(t *testing.T) {
+	p := New[int](testNet(t))
+	w := p.width
+	const perBuf = 5
+	for i := 0; i < perBuf*w; i++ {
+		p.putAt(int64(i), i)
+	}
+	left := perBuf * w
+	for rank := perBuf - 1; rank >= 0; rank-- {
+		for b := 0; b < w; b++ {
+			v := int64(rank*w + b)
+			if got := p.getAt(v); got != int(v) {
+				t.Fatalf("rank %d buffer %d: got %d, want %d", rank, b, got, v)
+			}
+			left--
+			if n := p.Len(); n != left {
+				t.Fatalf("Len = %d, want %d", n, left)
+			}
+		}
+	}
+	for i := range p.bufs {
+		if b := &p.bufs[i]; len(b.items) != 0 || b.base != perBuf {
+			t.Errorf("buffer %d: %d queued, base %d after taking every rank", i, len(b.items), b.base)
+		}
+	}
+}

@@ -7,7 +7,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"countnet/internal/counter"
 	"countnet/internal/network"
@@ -29,39 +29,7 @@ import (
 // Failures embed the token paths of the offending schedule rendered
 // via runner.FormatPaths, so a violation reads like the paper's Figure 3.
 func TokenSystem(net *network.Network, entries []int) System {
-	w := net.Width()
-	in := make([]int64, w)
-	for _, e := range entries {
-		in[e]++
-	}
-	want := runner.ApplyTokens(net, in)
-	return func() ([]TaskFunc, func(tr *Trace) error) {
-		a := runner.Compile(net)
-		counts := make([]int64, w)
-		tasks := make([]TaskFunc, len(entries))
-		for i := range entries {
-			e := entries[i]
-			tasks[i] = func(y *Yield) {
-				pos := a.TraverseHooked(e, y.Step)
-				y.Step("exit")
-				counts[pos]++
-			}
-		}
-		check := func(tr *Trace) error {
-			if !seq.IsStep(counts) {
-				return fmt.Errorf("sched: quiescent exit counts %v violate the step property\n%s",
-					counts, FormatTokenSchedule(net, entries, tr))
-			}
-			for i := range counts {
-				if counts[i] != want[i] {
-					return fmt.Errorf("sched: quiescent exit counts %v differ from transfer function %v (quiescent consistency)\n%s",
-						counts, want, FormatTokenSchedule(net, entries, tr))
-				}
-			}
-			return nil
-		}
-		return tasks, check
-	}
+	return BatchTokenSystem(net, entries, nil)
 }
 
 // FormatTokenSchedule renders a TokenSystem schedule as per-token gate
@@ -108,7 +76,6 @@ func BatchTokenSystem(net *network.Network, entries []int, batches [][]int64) Sy
 		counts := make([]int64, w)
 		tasks := make([]TaskFunc, 0, len(entries)+len(batches))
 		for _, e := range entries {
-			e := e
 			tasks = append(tasks, func(y *Yield) {
 				pos := a.TraverseHooked(e, y.Step)
 				y.Step("exit")
@@ -116,7 +83,6 @@ func BatchTokenSystem(net *network.Network, entries []int, batches [][]int64) Sy
 			})
 		}
 		for _, b := range batches {
-			b := b
 			tasks = append(tasks, func(y *Yield) {
 				out := a.TraverseBatchHooked(b, y.Step)
 				y.Step("exit")
@@ -126,15 +92,17 @@ func BatchTokenSystem(net *network.Network, entries []int, batches [][]int64) Sy
 			})
 		}
 		check := func(tr *Trace) error {
-			if !seq.IsStep(counts) {
-				return fmt.Errorf("sched: quiescent exit counts %v violate the step property (batch+token mix)", counts)
+			var err error
+			switch {
+			case !seq.IsStep(counts):
+				err = fmt.Errorf("sched: quiescent exit counts %v violate the step property", counts)
+			case !slices.Equal(counts, want):
+				err = fmt.Errorf("sched: quiescent exit counts %v differ from transfer function %v (quiescent consistency)", counts, want)
 			}
-			for i := range counts {
-				if counts[i] != want[i] {
-					return fmt.Errorf("sched: quiescent exit counts %v differ from transfer function %v (batch+token mix)", counts, want)
-				}
+			if err != nil && len(batches) == 0 {
+				err = fmt.Errorf("%w\n%s", err, FormatTokenSchedule(net, entries, tr))
 			}
-			return nil
+			return err
 		}
 		return tasks, check
 	}
@@ -166,18 +134,7 @@ func CounterSystem(net *network.Network, goroutines, opsPer int) System {
 				}
 			}
 		}
-		check := func(tr *Trace) error {
-			got := append([]int64(nil), values...)
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			for i, v := range got {
-				if v != int64(i) {
-					return fmt.Errorf("sched: counter values not gap-free at quiescence: sorted[%d] = %d (values %v)\nschedule:\n%s",
-						i, v, got, tr)
-				}
-			}
-			return nil
-		}
-		return tasks, check
+		return tasks, func(tr *Trace) error { return gapFree("counter values", values, tr) }
 	}
 }
 
@@ -185,48 +142,62 @@ func CounterSystem(net *network.Network, goroutines, opsPer int) System {
 // through per-task handles of one counter.AdaptiveCounter (built fresh
 // per schedule by build, so tests control the initial engine, policy,
 // and failure-injection hooks), while one switcher task walks the
-// engine plan via SwitchToHooked. Every shared atomic step of the
-// epoch protocol — epoch load, slot publish, seal check, the seal, the
-// per-slot drain, the fence/install — is a scheduling point, so
-// exploration covers draws racing arbitrarily with transitions. At
-// quiescence the issued values must be exactly 0..N-1: a draw minted
+// engine plan via SwitchToHooked. Draws run Next's own path, prefetch
+// included; every shared step of the epoch protocol and the engines is
+// a scheduling point. At quiescence the consumed values plus every
+// handle's Unserved buffer must be exactly 0..N-1: a draw minted
 // against a stale epoch offset, a fence read before a straggler
 // retired, or a switch that skipped the drain surfaces as a duplicate
 // or a gap.
 func AdaptiveSystem(build func() *counter.AdaptiveCounter, goroutines, opsPer int, plan []counter.EngineKind) System {
 	return func() ([]TaskFunc, func(tr *Trace) error) {
 		c := build()
-		values := make([]int64, 0, goroutines*opsPer)
+		var values []int64
 		tasks := make([]TaskFunc, 0, goroutines+1)
 		for g := 0; g < goroutines; g++ {
 			h := c.Handle(g).(*counter.AdaptiveHandle)
 			tasks = append(tasks, func(y *Yield) {
 				for k := 0; k < opsPer; k++ {
-					v := h.NextHooked(y.Step, y.Block)
-					values = append(values, v)
+					values = append(values, h.NextHooked(y.Step, y.Block))
 				}
+				// Done drawing: the leftover buffer counts as issued.
+				values = append(values, h.Unserved()...)
 			})
 		}
 		if len(plan) > 0 {
-			plan := plan
 			tasks = append(tasks, func(y *Yield) {
 				for _, kind := range plan {
 					c.SwitchToHooked(kind, y.Step, y.Block)
 				}
 			})
 		}
-		check := func(tr *Trace) error {
-			got := append([]int64(nil), values...)
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			for i, v := range got {
-				if v != int64(i) {
-					return fmt.Errorf("sched: adaptive counter values not gap-free across engine switches: sorted[%d] = %d (values %v)\nschedule:\n%s",
-						i, v, got, tr)
+		return tasks, func(tr *Trace) error {
+			return gapFree("adaptive counter values (consumed and unserved) across engine switches", values, tr)
+		}
+	}
+}
+
+// CombiningSystem runs goroutines tasks, each drawing one block per
+// entry of blocks via CombiningHandle.NextBlockHooked on its own handle
+// of one counter.CombiningCounter built fresh per schedule by build.
+// Exploration covers combiners serving other handles' slots; at
+// quiescence the values must be exactly 0..N-1.
+func CombiningSystem(build func() *counter.CombiningCounter, goroutines int, blocks []int) System {
+	return func() ([]TaskFunc, func(tr *Trace) error) {
+		c := build()
+		var values []int64
+		tasks := make([]TaskFunc, goroutines)
+		for g := range tasks {
+			h := c.Handle(g).(*counter.CombiningHandle)
+			tasks[g] = func(y *Yield) {
+				for _, b := range blocks {
+					dst := make([]int64, b)
+					h.NextBlockHooked(dst, y.Step, y.Block)
+					values = append(values, dst...)
 				}
 			}
-			return nil
 		}
-		return tasks, check
+		return tasks, func(tr *Trace) error { return gapFree("combining counter values", values, tr) }
 	}
 }
 
@@ -239,14 +210,14 @@ func AdaptiveSystem(build func() *counter.AdaptiveCounter, goroutines, opsPer in
 // reported as deadlocks by Run.
 func PoolSystem(net *network.Network, pairs, itemsPer int) System {
 	return func() ([]TaskFunc, func(tr *Trace) error) {
-		p := pool.New[int](net)
-		got := make([]int, 0, pairs*itemsPer)
+		p := pool.New[int64](net)
+		got := make([]int64, 0, pairs*itemsPer)
 		tasks := make([]TaskFunc, 0, 2*pairs)
 		for g := 0; g < pairs; g++ {
 			g := g
 			tasks = append(tasks, func(y *Yield) {
 				for k := 0; k < itemsPer; k++ {
-					p.PutHooked(g*itemsPer+k, y.Step)
+					p.PutHooked(int64(g*itemsPer+k), y.Step)
 				}
 			})
 		}
@@ -257,17 +228,20 @@ func PoolSystem(net *network.Network, pairs, itemsPer int) System {
 				}
 			})
 		}
-		check := func(tr *Trace) error {
-			sorted := append([]int(nil), got...)
-			sort.Ints(sorted)
-			for i, v := range sorted {
-				if v != i {
-					return fmt.Errorf("sched: pool delivery not exactly-once: sorted[%d] = %d (got %v)\nschedule:\n%s",
-						i, v, sorted, tr)
-				}
-			}
-			return nil
-		}
-		return tasks, check
+		return tasks, func(tr *Trace) error { return gapFree("pool deliveries (exactly-once)", got, tr) }
 	}
+}
+
+// gapFree checks the counting contract at quiescence: sorted, values
+// are exactly 0..N-1. what names the values in the error.
+func gapFree(what string, values []int64, tr *Trace) error {
+	got := slices.Clone(values)
+	slices.Sort(got)
+	for i, v := range got {
+		if v != int64(i) {
+			return fmt.Errorf("sched: %s not gap-free at quiescence: sorted[%d] = %d (values %v)\nschedule:\n%s",
+				what, i, v, got, tr)
+		}
+	}
+	return nil
 }

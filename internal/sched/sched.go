@@ -37,8 +37,10 @@ const OpStart = "start"
 // TaskFunc is the body of one logical process. All cross-task
 // synchronization must go through the Yield hooks: call y.Step before
 // each atomic shared access and y.Block instead of blocking on another
-// task's progress. Instrumented substrate methods (Async.TraverseHooked,
-// NetworkCounter.NextHooked, Pool.PutHooked/GetHooked) do this for you.
+// task's progress. The *Hooked substrate methods (Async.TraverseHooked,
+// counter and pool NextHooked/PutHooked/GetHooked, SwitchToHooked,
+// CombiningHandle.NextBlockHooked) thread these hooks through the
+// production bodies; a lock is awaited with Block on a TryLock probe.
 type TaskFunc func(y *Yield)
 
 // Yield is the per-task handle through which a task cooperates with
