@@ -182,8 +182,7 @@ func BenchmarkCounter(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				local := c
 				if h, ok := c.(counter.Handled); ok {
-					id++
-					local = h.Handle(int(id))
+					local = h.Handle(int(atomic.AddInt64(&id, 1)))
 				}
 				for pb.Next() {
 					local.Next()
@@ -376,8 +375,7 @@ func BenchmarkPool(b *testing.B) {
 		p := pool.New[int](n)
 		var id int64
 		b.RunParallel(func(pb *testing.PB) {
-			id++
-			h := p.Handle(int(id))
+			h := p.Handle(int(atomic.AddInt64(&id, 1)))
 			for pb.Next() {
 				h.Put(1)
 				h.Get()

@@ -318,7 +318,7 @@ func (r *runner) spawn() error {
 	r.nextID++
 	p := &proc{id: id, lines: make(chan Message, 4), done: make(chan struct{}), snaps: map[int]*obs.Snapshot{}}
 
-	var out io.Reader
+	var out io.ReadCloser
 	if r.ropt.Bin == "" {
 		ctx, cancel := context.WithCancel(context.Background())
 		p.cancel = cancel
@@ -339,11 +339,19 @@ func (r *runner) spawn() error {
 		if err != nil {
 			return err
 		}
-		stdout, err := cmd.StdoutPipe()
+		// A pipe of our own, not StdoutPipe: cmd.Wait closes a
+		// StdoutPipe as soon as the process exits, which can cut off
+		// the tail of a long final line (the bye line's flight dump)
+		// before the reader below has read it.
+		stdout, outW, err := os.Pipe()
 		if err != nil {
 			return err
 		}
-		if err := cmd.Start(); err != nil {
+		cmd.Stdout = outW
+		err = cmd.Start()
+		outW.Close() // the child holds its own copy; EOF arrives when it exits
+		if err != nil {
+			stdout.Close()
 			return fmt.Errorf("harness: starting worker %s (%s): %w", id, r.ropt.Bin, err)
 		}
 		p.cmd = cmd
@@ -359,6 +367,7 @@ func (r *runner) spawn() error {
 	// into the message channel until the stream ends.
 	go func() {
 		defer close(p.lines)
+		defer out.Close()
 		sc := bufio.NewScanner(out)
 		sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 		for sc.Scan() {

@@ -4,26 +4,37 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Client is the worker-side view of a sync Server. The zero client is
 // not usable; build one with NewClient. Methods are safe for
-// concurrent use (they share one http.Client).
+// concurrent use: Draw calls share one draw channel, the rest one
+// http.Client.
 type Client struct {
 	base string
 	http *http.Client
+
+	dialMu  sync.Mutex               // serializes dialing the draw channel
+	ch      atomic.Pointer[drawChan] // nil until the first Draw and after the channel dies
+	leases  atomic.Uint64            // last lease ID issued
+	waiters sync.Pool                // of *waiter
 }
 
 // NewClient targets the server at base (e.g. "http://127.0.0.1:8123").
 // Barrier calls block server-side, so the underlying HTTP client has
 // no request timeout; bound waits with the phase plan instead.
 func NewClient(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}}
+	c := &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}}
+	c.waiters.New = func() any { return &waiter{done: make(chan struct{}, 1)} }
+	return c
 }
 
 // Register announces the worker id and returns the number of workers
@@ -95,14 +106,39 @@ func (c *Client) Get(key string) (value string, ok bool, err error) {
 	}
 }
 
-// Draw leases n fresh counter values for the worker.
+// Draw leases n fresh counter values for the worker over the client's
+// draw channel, dialing it on first use and again after it dies. A
+// Draw in flight when the channel dies returns an error; the server
+// may have issued its values. The channel and its reader goroutine
+// last until the connection fails or the server closes it, as
+// Server.Shutdown does.
 func (c *Client) Draw(worker string, n int) ([]int64, error) {
-	var out struct {
-		Values []int64 `json:"values"`
+	if err := checkDrawSize(n); err != nil {
+		return nil, err
 	}
-	err := c.call(http.MethodPost,
-		"/draw?worker="+url.QueryEscape(worker)+"&n="+strconv.Itoa(n), "", &out)
-	return out.Values, err
+	if len(worker) > math.MaxUint16 {
+		return nil, fmt.Errorf("syncsrv: worker id of %d bytes (max %d)", len(worker), math.MaxUint16)
+	}
+	ch := c.ch.Load()
+	if ch == nil {
+		var err error
+		if ch, err = c.dial(); err != nil {
+			return nil, err
+		}
+	}
+	w := c.waiters.Get().(*waiter)
+	defer c.waiters.Put(w)
+	return ch.draw(w, worker, n, c.leases.Add(1))
+}
+
+// dial returns the live draw channel, opening one if there is none.
+func (c *Client) dial() (*drawChan, error) {
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	if ch := c.ch.Load(); ch != nil {
+		return ch, nil
+	}
+	return dialDrawChan(c.base, &c.ch)
 }
 
 // Draws fetches the server's full issue log and the network width.

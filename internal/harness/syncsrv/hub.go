@@ -10,14 +10,18 @@
 // the data structure under test (release bookkeeping is arrival-
 // ordered — see stateBarrier for why ticket-ordered release would
 // deadlock — and Quiesce checks the tickets' gap-free contract).
-// The draw endpoint serves value blocks from a combining counter over
-// the same network and keeps a per-worker issue log, which the
-// post-run checker (harness.CheckRun) cross-checks against what the
-// worker processes report having received.
+// Block leases (Hub.Draw) are served from a combining counter over the
+// same network; each in-flight draw holds its own combining handle, so
+// one combine pass serves every lease pending at that moment. The hub
+// keeps a per-worker issue log, which the post-run checker
+// (harness.CheckRun) cross-checks against what the worker processes
+// report having received. Clients reach Draw over a binary draw
+// channel and everything else over HTTP+JSON (see Server).
 package syncsrv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,10 +36,11 @@ import (
 // Subscribe) return with an error after Close.
 type Hub struct {
 	net  *network.Network
-	draw counter.BlockCounter // shared value source for /draw leases
+	draw *counter.CombiningCounter // shared value source for leases
 
 	mu       sync.Mutex
 	closed   bool
+	handles  []*counter.CombiningHandle // free list: one handle per in-flight draw at peak
 	barriers map[string]*stateBarrier
 	topics   map[string]*topic
 	kv       map[string]string
@@ -226,13 +231,30 @@ func (h *Hub) Get(key string) (string, bool) {
 	return v, ok
 }
 
+// maxDraw caps the values one lease may ask for, so a bad request
+// cannot make the hub allocate without bound.
+const maxDraw = 1 << 16
+
+// checkDrawSize rejects a lease size outside 1..maxDraw.
+func checkDrawSize(n int) error {
+	if n < 1 || n > maxDraw {
+		return fmt.Errorf("syncsrv: draw of %d values (want 1..%d)", n, maxDraw)
+	}
+	return nil
+}
+
 // Draw leases n fresh values to the worker from the shared combining
 // counter and records them in the issue log. The values are distinct
 // across all workers and gap-free once the run quiesces — the
 // guarantee the post-run checker verifies end to end.
 func (h *Hub) Draw(worker string, n int) ([]int64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("syncsrv: draw of %d values", n)
+	return h.drawInto(worker, n, nil)
+}
+
+// drawInto is Draw leasing into buf's backing array when it has room.
+func (h *Hub) drawInto(worker string, n int, buf []int64) ([]int64, error) {
+	if err := checkDrawSize(n); err != nil {
+		return nil, err
 	}
 	h.mu.Lock()
 	if h.closed {
@@ -243,17 +265,30 @@ func (h *Hub) Draw(worker string, n int) ([]int64, error) {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("syncsrv: draw from unregistered worker %q", worker)
 	}
+	// A handle, not the counter-level NextBlock: a handle publishes its
+	// request in a slot, so whichever draw holds the combine lock serves
+	// every pending lease in one pass. Handles register their slot for
+	// good, hence the free list rather than a sync.Pool that may drop
+	// them: it never holds more handles than draws ever ran at once.
+	var ch *counter.CombiningHandle
+	if k := len(h.handles); k > 0 {
+		ch = h.handles[k-1]
+		h.handles = h.handles[:k-1]
+	} else {
+		ch = h.draw.Handle(0).(*counter.CombiningHandle)
+	}
 	h.mu.Unlock()
 
 	// The network traversal runs outside h.mu: the whole point of the
 	// combining counter is that concurrent draws contend on balancers,
 	// not on one lock.
-	vals := make([]int64, n)
-	h.draw.NextBlock(vals)
+	vals := slices.Grow(buf[:0], n)[:n]
+	ch.NextBlock(vals)
 	obs.RecordFlight(obs.FlightBlockLease, vals[0], int64(n))
 
 	h.mu.Lock()
 	h.issued[worker] = append(h.issued[worker], vals...)
+	h.handles = append(h.handles, ch)
 	h.mu.Unlock()
 	return vals, nil
 }

@@ -8,12 +8,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
-// Server exposes a Hub over HTTP. Every endpoint speaks JSON; blocking
-// endpoints (/barrier, /sub) hold the request open until released, so
-// workers long-poll instead of spinning.
+// Server exposes a Hub over HTTP. Every endpoint but /drawchan speaks
+// JSON; blocking endpoints (/barrier, /sub) hold the request open until
+// released, so workers long-poll instead of spinning.
 //
 //	POST /register?worker=W          -> {"workers":K} (409 on duplicate)
 //	POST /barrier?state=S&n=N        -> blocks; {"generation":G}
@@ -21,13 +22,22 @@ import (
 //	GET  /sub?topic=T&after=I&wait=D -> {"entries":[...],"next":J}
 //	PUT  /kv?key=K       (body)      -> 204
 //	GET  /kv?key=K                   -> value (404 when absent)
-//	POST /draw?worker=W&n=K          -> {"values":[...]}
 //	GET  /draws                      -> {"width":W,"issued":{...}}
 //	GET  /healthz                    -> ok
+//	GET  /drawchan  (Upgrade: countnet-draw/1)
+//	                                 -> 101; then binary lease frames
+//
+// Leases (Hub.Draw) travel only over the upgraded draw channel, one
+// connection per Client; its frame layout is documented with drawPath.
 type Server struct {
 	hub  *Hub
 	http *http.Server
 	lis  net.Listener
+
+	mu     sync.Mutex
+	closed bool                  // Shutdown has begun: refuse new channels
+	chans  map[net.Conn]struct{} // upgraded draw channels, which http.Server does not track
+	wg     sync.WaitGroup        // one per draw channel goroutine
 }
 
 // maxSubWait caps a /sub long-poll so an abandoned watcher cannot pin
@@ -41,15 +51,15 @@ const readHeaderTimeout = 10 * time.Second
 
 // NewServer wraps the hub. Call Start to begin serving.
 func NewServer(hub *Hub) *Server {
-	s := &Server{hub: hub}
+	s := &Server{hub: hub, chans: map[net.Conn]struct{}{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/register", s.handleRegister)
 	mux.HandleFunc("/barrier", s.handleBarrier)
 	mux.HandleFunc("/pub", s.handlePub)
 	mux.HandleFunc("/sub", s.handleSub)
 	mux.HandleFunc("/kv", s.handleKV)
-	mux.HandleFunc("/draw", s.handleDraw)
 	mux.HandleFunc("/draws", s.handleDraws)
+	mux.HandleFunc(drawPath, s.handleDrawChan)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -76,10 +86,31 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Shutdown closes the hub (releasing blocked barrier and subscribe
-// handlers) and drains the HTTP server.
+// handlers), closes every draw channel (failing the Draw calls pending
+// on them), drains the HTTP server, and waits for the channel
+// goroutines to exit.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.hub.Close()
-	return s.http.Shutdown(ctx)
+	s.mu.Lock()
+	s.closed = true
+	for conn := range s.chans {
+		conn.Close()
+	}
+	s.mu.Unlock()
+	err := s.http.Shutdown(ctx)
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-ctx.Done():
+		if err == nil {
+			err = ctx.Err()
+		}
+	}
+	return err
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -167,21 +198,6 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprint(w, v)
 	}
-}
-
-func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n, err := strconv.Atoi(q.Get("n"))
-	if err != nil {
-		http.Error(w, "syncsrv: draw needs integer n", http.StatusBadRequest)
-		return
-	}
-	vals, err := s.hub.Draw(q.Get("worker"), n)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, map[string][]int64{"values": vals})
 }
 
 func (s *Server) handleDraws(w http.ResponseWriter, r *http.Request) {
