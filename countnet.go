@@ -490,7 +490,10 @@ func NewBarrier(n *Network, parties int) *Barrier {
 
 // Await blocks until all parties of the caller's generation have
 // arrived and returns the 0-based generation number.
-func (b *Barrier) Await() int64 { return b.inner.Await() }
+func (b *Barrier) Await() int64 {
+	gen, _ := b.inner.Await() // errs only after Close, which Barrier never calls
+	return gen
+}
 
 // Handle returns a goroutine-local barrier view whose arrival tickets
 // bypass the ticket counter's shared entry dispatcher; id disperses the
@@ -506,7 +509,10 @@ type BarrierHandle struct {
 
 // Await blocks until all parties of the caller's generation have
 // arrived and returns the 0-based generation number.
-func (h *BarrierHandle) Await() int64 { return h.inner.Await() }
+func (h *BarrierHandle) Await() int64 {
+	gen, _ := h.inner.Await() // errs only after Close, which Barrier never calls
+	return gen
+}
 
 // Factorizations lists every multiset factorization of w into factors
 // >= 2 (each non-increasing), the parameter space of the network

@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,15 @@ func barrierCounter(t *testing.T) Counter {
 	return NewNetworkCounter(n, false)
 }
 
+// await is Barrier.Await for barriers that are never closed.
+func await(b *Barrier) int64 {
+	gen, err := b.Await()
+	if err != nil {
+		panic(err)
+	}
+	return gen
+}
+
 // TestBarrierPhases: no party enters phase k+1 before every party
 // finished phase k — the barrier contract — across many generations.
 func TestBarrierPhases(t *testing.T) {
@@ -31,9 +41,9 @@ func TestBarrierPhases(t *testing.T) {
 			defer wg.Done()
 			for g := 0; g < generations; g++ {
 				phaseCount[g].Add(1)
-				gen := b.Await()
-				if gen != int64(g) {
-					t.Errorf("party saw generation %d in phase %d", gen, g)
+				gen, err := b.Await()
+				if err != nil || gen != int64(g) {
+					t.Errorf("party saw generation %d (err %v) in phase %d", gen, err, g)
 					return
 				}
 				// After the barrier, every party must have entered
@@ -53,14 +63,14 @@ func TestBarrierBlocksUntilFull(t *testing.T) {
 	b := NewBarrier(3, NewAtomicCounter())
 	released := make(chan int64, 3)
 	for i := 0; i < 2; i++ {
-		go func() { released <- b.Await() }()
+		go func() { released <- await(b) }()
 	}
 	select {
 	case g := <-released:
 		t.Fatalf("released generation %d with 2/3 arrivals", g)
 	case <-time.After(20 * time.Millisecond):
 	}
-	go func() { released <- b.Await() }()
+	go func() { released <- await(b) }()
 	for i := 0; i < 3; i++ {
 		select {
 		case g := <-released:
@@ -77,7 +87,7 @@ func TestBarrierBlocksUntilFull(t *testing.T) {
 func TestBarrierSingleParty(t *testing.T) {
 	b := NewBarrier(1, NewAtomicCounter())
 	for g := int64(0); g < 5; g++ {
-		if got := b.Await(); got != g {
+		if got := await(b); got != g {
 			t.Fatalf("generation %d, want %d", got, g)
 		}
 	}
@@ -107,9 +117,9 @@ func TestBarrierHandles(t *testing.T) {
 			h := b.Handle(p)
 			for g := 0; g < generations; g++ {
 				phaseCount[g].Add(1)
-				gen := h.Await()
-				if gen != int64(g) {
-					t.Errorf("party saw generation %d in phase %d", gen, g)
+				gen, err := h.Await()
+				if err != nil || gen != int64(g) {
+					t.Errorf("party saw generation %d (err %v) in phase %d", gen, err, g)
 					return
 				}
 				if got := phaseCount[g].Load(); got != parties {
@@ -128,8 +138,70 @@ func TestBarrierHandlePlainCounter(t *testing.T) {
 	b := NewBarrier(1, NewMutexCounter())
 	h := b.Handle(0)
 	for g := int64(0); g < 5; g++ {
-		if got := h.Await(); got != g {
+		if got, err := h.Await(); err != nil || got != g {
 			t.Fatalf("generation %d, want %d", got, g)
 		}
+	}
+}
+
+// TestBarrierCloseReleasesWaiters: Close fails a parked arrival and
+// every later arrival that would wait, but an arrival that completes a
+// generation still succeeds.
+func TestBarrierCloseReleasesWaiters(t *testing.T) {
+	b := NewBarrier(2, barrierCounter(t))
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Await()
+		errc <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let it park
+	b.Close()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("waiter after Close: err = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter not released by Close")
+	}
+	// The parked arrival counted: the next one completes generation 0.
+	if gen, err := b.Await(); err != nil || gen != 0 {
+		t.Fatalf("completing arrival after Close: gen %d, err %v", gen, err)
+	}
+	if _, err := b.Await(); err == nil {
+		t.Fatal("waiting arrival after Close succeeded")
+	}
+}
+
+// skipCounter issues 0, 1, ... but jumps over skip.
+type skipCounter struct {
+	next, skip int64
+}
+
+func (c *skipCounter) Next() int64 {
+	if c.next == c.skip {
+		c.next++
+	}
+	c.next++
+	return c.next - 1
+}
+
+// TestBarrierQuiesceRejectsSkippedTicket: the gap-free oracle behind
+// Hub.Quiesce can fail — a ticket counter that skips a value is caught
+// once the barrier is at rest, and a sound one passes.
+func TestBarrierQuiesceRejectsSkippedTicket(t *testing.T) {
+	good := NewBarrier(1, barrierCounter(t))
+	for i := 0; i < 5; i++ {
+		await(good)
+	}
+	if err := good.Quiesce(); err != nil {
+		t.Fatalf("sound ticket counter: %v", err)
+	}
+	bad := NewBarrier(1, &skipCounter{skip: 2})
+	for i := 0; i < 5; i++ {
+		await(bad)
+	}
+	if err := bad.Quiesce(); err == nil || !strings.Contains(err.Error(), "gap-free") {
+		t.Fatalf("ticket counter skipping 2: Quiesce err = %v, want a gap-free failure", err)
 	}
 }

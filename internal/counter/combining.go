@@ -176,8 +176,10 @@ func (h *CombiningHandle) NextBlock(dst []int64) {
 }
 
 // NextBlockHooked is NextBlock with schedule instrumentation (see
-// await); the request may be served by another handle's pass. For
-// package sched; do not mix with unhooked calls in a controlled run.
+// await); the request may be served by another handle's pass. Nil
+// hooks make it NextBlock, so a caller can thread package sched's
+// hooks through its one body (as syncsrv's hub draw does). Do not mix
+// hooked and unhooked calls in a controlled run.
 func (h *CombiningHandle) NextBlockHooked(dst []int64, yield func(op string), block func(op string, ready func() bool)) {
 	if len(dst) == 0 {
 		return

@@ -2,6 +2,7 @@ package syncsrv
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,18 +12,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Client is the worker-side view of a sync Server. The zero client is
-// not usable; build one with NewClient. Methods are safe for
-// concurrent use: Draw calls share one draw channel, the rest one
-// http.Client.
+// not usable; build one with NewClient, and Close it when done. Methods
+// are safe for concurrent use: Draw calls share one draw channel, the
+// rest one http.Client.
 type Client struct {
 	base string
 	http *http.Client
 
-	dialMu  sync.Mutex               // serializes dialing the draw channel
+	dialMu  sync.Mutex               // serializes dialing the draw channel; guards closed
+	closed  bool                     // Close was called: dial no more
 	ch      atomic.Pointer[drawChan] // nil until the first Draw and after the channel dies
 	leases  atomic.Uint64            // last lease ID issued
 	waiters sync.Pool                // of *waiter
@@ -58,60 +59,12 @@ func (c *Client) Barrier(state string, n int) (int64, error) {
 	return out.Generation, err
 }
 
-// Publish appends value to the topic and returns its sequence number.
-func (c *Client) Publish(topic, value string) (int, error) {
-	var out struct {
-		Seq int `json:"seq"`
-	}
-	err := c.call(http.MethodPost, "/pub?topic="+url.QueryEscape(topic), value, &out)
-	return out.Seq, err
-}
-
-// Subscribe long-polls the topic for entries with sequence >= after,
-// waiting up to wait. It returns the entries (possibly none) and the
-// next sequence to poll from.
-func (c *Client) Subscribe(topic string, after int, wait time.Duration) ([]string, int, error) {
-	var out struct {
-		Entries []string `json:"entries"`
-		Next    int      `json:"next"`
-	}
-	err := c.call(http.MethodGet, fmt.Sprintf("/sub?topic=%s&after=%d&wait=%s",
-		url.QueryEscape(topic), after, wait), "", &out)
-	return out.Entries, out.Next, err
-}
-
-// Put stores a run-scoped key/value pair.
-func (c *Client) Put(key, value string) error {
-	return c.call(http.MethodPut, "/kv?key="+url.QueryEscape(key), value, nil)
-}
-
-// Get reads a run-scoped key; ok is false when the key is absent.
-func (c *Client) Get(key string) (value string, ok bool, err error) {
-	resp, err := c.http.Get(c.base + "/kv?key=" + url.QueryEscape(key))
-	if err != nil {
-		return "", false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return string(body), true, nil
-	case http.StatusNotFound:
-		return "", false, nil
-	default:
-		return "", false, fmt.Errorf("syncsrv: GET /kv: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-}
-
 // Draw leases n fresh counter values for the worker over the client's
 // draw channel, dialing it on first use and again after it dies. A
 // Draw in flight when the channel dies returns an error; the server
 // may have issued its values. The channel and its reader goroutine
-// last until the connection fails or the server closes it, as
-// Server.Shutdown does.
+// last until Close, until the connection fails, or until the server
+// closes it, as Server.Shutdown does.
 func (c *Client) Draw(worker string, n int) ([]int64, error) {
 	if err := checkDrawSize(n); err != nil {
 		return nil, err
@@ -135,10 +88,29 @@ func (c *Client) Draw(worker string, n int) ([]int64, error) {
 func (c *Client) dial() (*drawChan, error) {
 	c.dialMu.Lock()
 	defer c.dialMu.Unlock()
+	if c.closed {
+		return nil, errClientClosed
+	}
 	if ch := c.ch.Load(); ch != nil {
 		return ch, nil
 	}
 	return dialDrawChan(c.base, &c.ch)
+}
+
+var errClientClosed = errors.New("syncsrv: client closed")
+
+// Close closes the client's draw channel, which ends its reader
+// goroutine and the server's goroutine for it, and the client's idle
+// HTTP connections. Draws in flight fail, and so does every later
+// Draw, at once. The server keeps running.
+func (c *Client) Close() {
+	c.dialMu.Lock()
+	c.closed = true
+	c.dialMu.Unlock()
+	if ch := c.ch.Load(); ch != nil {
+		ch.fail(errClientClosed)
+	}
+	c.http.CloseIdleConnections()
 }
 
 // Draws fetches the server's full issue log and the network width.

@@ -140,7 +140,7 @@ func (s *Server) serveDraws(br *bufio.Reader, bw *bufio.Writer) {
 					workers[worker] = worker
 				}
 			}
-			vals, err = s.hub.drawInto(worker, int(n), vals)
+			vals, err = s.hub.drawInto(worker, int(n), vals, nil, nil)
 		}
 		writeReply(bw, lease, vals, err)
 	}

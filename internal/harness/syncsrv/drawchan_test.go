@@ -225,3 +225,53 @@ func TestShutdownEndsDrawChannels(t *testing.T) {
 		t.Fatalf("%d goroutines after Shutdown, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestClientCloseEndsDrawChannel: Close on a live server ends the
+// client's draw channel — its reader goroutine and the server's
+// goroutine for it — and its idle HTTP connections, while the server
+// keeps serving other clients. A Draw after Close fails at once
+// instead of dialing again.
+func TestClientCloseEndsDrawChannel(t *testing.T) {
+	s := startServer(t, "w0", "w1")
+	baseline := runtime.NumGoroutine()
+	c := NewClient(s.URL())
+	if _, err := c.Register("w2"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Draw("w0", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+
+	start := time.Now()
+	if _, err := c.Draw("w0", 1); err == nil {
+		t.Fatal("Draw after Close succeeded")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Draw after Close took %v to fail", d)
+	}
+	open := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.chans)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (open() > 0 || runtime.NumGoroutine() > baseline) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := open(); n != 0 {
+		t.Fatalf("server still holds %d draw channels after Close", n)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+
+	other := NewClient(s.URL())
+	defer other.Close()
+	if _, err := other.Draw("w1", 1); err != nil {
+		t.Fatalf("server stopped serving after a client closed: %v", err)
+	}
+}

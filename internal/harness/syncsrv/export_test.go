@@ -1,5 +1,7 @@
 package syncsrv
 
+import "countnet/internal/obs"
+
 // FreeHandles returns the length of the hub's combining-handle free
 // list.
 func FreeHandles(h *Hub) int {
@@ -18,4 +20,17 @@ func DropDrawChannels(s *Server) int {
 		conn.Close()
 	}
 	return len(s.chans)
+}
+
+// DrawHooked is Hub.Draw with schedule instrumentation for package
+// sched, threaded through the one draw body into the combining
+// handle's NextBlockHooked.
+func DrawHooked(h *Hub, worker string, n int, yield func(op string), block func(op string, ready func() bool)) ([]int64, error) {
+	return h.drawInto(worker, n, nil, yield, block)
+}
+
+// EnableDrawObs attaches observability to the hub's combining draw
+// counter, registered into r.
+func EnableDrawObs(h *Hub, r *obs.Registry) *obs.CombineObs {
+	return h.draw.EnableObs("hub", r)
 }

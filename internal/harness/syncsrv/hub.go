@@ -1,15 +1,15 @@
 // Package syncsrv is the coordination service of the multi-process
 // traffic harness (internal/harness): a run-scoped HTTP server that
-// worker processes use to phase-synchronize, publish/watch events,
-// share key/value state, and lease blocks of Fetch&Increment values
-// from one shared counting-network counter.
+// worker processes use to register, phase-synchronize, and lease
+// blocks of Fetch&Increment values from one shared counting-network
+// counter.
 //
-// The barrier arrival path dogfoods the paper's own application: every
-// Barrier(state, n) arrival draws a ticket from a counting-network
-// counter, so the harness's phase synchronization is itself loading
-// the data structure under test (release bookkeeping is arrival-
-// ordered — see stateBarrier for why ticket-ordered release would
-// deadlock — and Quiesce checks the tickets' gap-free contract).
+// The barrier arrival path dogfoods the paper's own application: each
+// barrier state is a counter.Barrier whose arrivals draw tickets from
+// a counting-network counter, so the harness's phase synchronization
+// is itself loading the data structure under test (release is
+// arrival-ordered — see counter.Barrier for why ticket-ordered release
+// would deadlock — and Quiesce checks the tickets' gap-free contract).
 // Block leases (Hub.Draw) are served from a combining counter over the
 // same network; each in-flight draw holds its own combining handle, so
 // one combine pass serves every lease pending at that moment. The hub
@@ -22,9 +22,7 @@ package syncsrv
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
-	"time"
 
 	"countnet/internal/counter"
 	"countnet/internal/network"
@@ -32,8 +30,8 @@ import (
 )
 
 // Hub is the in-memory coordination state behind one harness run. All
-// methods are safe for concurrent use; blocking methods (Barrier,
-// Subscribe) return with an error after Close.
+// methods are safe for concurrent use; Barrier returns with an error
+// after Close.
 type Hub struct {
 	net  *network.Network
 	draw *counter.CombiningCounter // shared value source for leases
@@ -41,9 +39,7 @@ type Hub struct {
 	mu       sync.Mutex
 	closed   bool
 	handles  []*counter.CombiningHandle // free list: one handle per in-flight draw at peak
-	barriers map[string]*stateBarrier
-	topics   map[string]*topic
-	kv       map[string]string
+	barriers map[string]*counter.Barrier
 	issued   map[string][]int64 // worker -> values leased to it, in issue order
 	workers  map[string]bool
 }
@@ -54,9 +50,7 @@ func NewHub(net *network.Network) *Hub {
 	return &Hub{
 		net:      net,
 		draw:     counter.NewCombiningCounter(net),
-		barriers: map[string]*stateBarrier{},
-		topics:   map[string]*topic{},
-		kv:       map[string]string{},
+		barriers: map[string]*counter.Barrier{},
 		issued:   map[string][]int64{},
 		workers:  map[string]bool{},
 	}
@@ -66,8 +60,8 @@ func NewHub(net *network.Network) *Hub {
 // that maps an issued value to its exit wire, value mod width).
 func (h *Hub) Width() int { return h.net.Width() }
 
-// Close releases every blocked Barrier and Subscribe call with an
-// error. The hub is unusable afterwards.
+// Close releases every blocked Barrier call with an error. The hub is
+// unusable afterwards.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -76,10 +70,7 @@ func (h *Hub) Close() {
 	}
 	h.closed = true
 	for _, b := range h.barriers {
-		b.close()
-	}
-	for _, t := range h.topics {
-		t.cond.Broadcast()
+		b.Close()
 	}
 }
 
@@ -91,7 +82,7 @@ func (h *Hub) Quiesce() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for state, b := range h.barriers {
-		if err := b.quiesce(); err != nil {
+		if err := b.Quiesce(); err != nil {
 			obs.RecordFlight(obs.FlightOracleViolation, int64(len(h.barriers)), 0)
 			return fmt.Errorf("syncsrv: barrier %q: %w", state, err)
 		}
@@ -118,18 +109,6 @@ func (h *Hub) Register(worker string) (int, error) {
 	return len(h.workers), nil
 }
 
-// Workers returns the registered worker ids, sorted.
-func (h *Hub) Workers() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.workers))
-	for w := range h.workers {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Barrier blocks until n parties (including the caller) have arrived
 // at the named state and returns the caller's 0-based generation. The
 // first arrival at a state fixes its party count; later arrivals must
@@ -144,7 +123,7 @@ func (h *Hub) Barrier(state string, n int) (int64, error) {
 }
 
 // barrier returns the state's barrier, creating it on first arrival.
-func (h *Hub) barrier(state string, n int) (*stateBarrier, error) {
+func (h *Hub) barrier(state string, n int) (*counter.Barrier, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("syncsrv: barrier %q with %d parties", state, n)
 	}
@@ -155,80 +134,13 @@ func (h *Hub) barrier(state string, n int) (*stateBarrier, error) {
 	}
 	b, ok := h.barriers[state]
 	if !ok {
-		b = newStateBarrier(h.net, n)
+		b = counter.NewBarrier(n, counter.NewNetworkCounter(h.net, false))
 		h.barriers[state] = b
 	}
-	if b.n != int64(n) {
-		return nil, fmt.Errorf("syncsrv: barrier %q opened for %d parties, arrival wants %d", state, b.n, n)
+	if b.Parties() != n {
+		return nil, fmt.Errorf("syncsrv: barrier %q opened for %d parties, arrival wants %d", state, b.Parties(), n)
 	}
 	return b, nil
-}
-
-// Publish appends value to the named topic and returns its 0-based
-// sequence number, waking every Subscribe long-poll on the topic.
-func (h *Hub) Publish(topicName, value string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topic(topicName)
-	t.entries = append(t.entries, value)
-	t.cond.Broadcast()
-	return len(t.entries) - 1
-}
-
-// Subscribe returns the topic entries with sequence >= after, waiting
-// up to wait for at least one to exist. It returns the entries (nil
-// after a timeout) and the next sequence number to poll from, so a
-// late joiner passing after=0 always sees the full history.
-func (h *Hub) Subscribe(topicName string, after int, wait time.Duration) ([]string, int) {
-	deadline := time.Now().Add(wait)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topic(topicName)
-	for len(t.entries) <= after && !h.closed {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			break
-		}
-		// Cond has no timed wait; a one-shot timer broadcast bounds it.
-		tm := time.AfterFunc(remain, t.cond.Broadcast)
-		t.cond.Wait()
-		tm.Stop()
-	}
-	if after > len(t.entries) {
-		after = len(t.entries)
-	}
-	entries := append([]string(nil), t.entries[after:]...)
-	return entries, len(t.entries)
-}
-
-// topic returns the named topic, creating it under h.mu.
-func (h *Hub) topic(name string) *topic {
-	t, ok := h.topics[name]
-	if !ok {
-		t = &topic{cond: sync.NewCond(&h.mu)}
-		h.topics[name] = t
-	}
-	return t
-}
-
-type topic struct {
-	entries []string
-	cond    *sync.Cond
-}
-
-// Put stores a run-scoped key/value pair.
-func (h *Hub) Put(key, value string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.kv[key] = value
-}
-
-// Get reads a run-scoped key.
-func (h *Hub) Get(key string) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	v, ok := h.kv[key]
-	return v, ok
 }
 
 // maxDraw caps the values one lease may ask for, so a bad request
@@ -248,11 +160,13 @@ func checkDrawSize(n int) error {
 // across all workers and gap-free once the run quiesces — the
 // guarantee the post-run checker verifies end to end.
 func (h *Hub) Draw(worker string, n int) ([]int64, error) {
-	return h.drawInto(worker, n, nil)
+	return h.drawInto(worker, n, nil, nil, nil)
 }
 
 // drawInto is Draw leasing into buf's backing array when it has room.
-func (h *Hub) drawInto(worker string, n int, buf []int64) ([]int64, error) {
+// Non-nil hooks instrument the combining draw for package sched (see
+// CombiningHandle.NextBlockHooked); production passes nil.
+func (h *Hub) drawInto(worker string, n int, buf []int64, yield func(op string), block func(op string, ready func() bool)) ([]int64, error) {
 	if err := checkDrawSize(n); err != nil {
 		return nil, err
 	}
@@ -283,7 +197,7 @@ func (h *Hub) drawInto(worker string, n int, buf []int64) ([]int64, error) {
 	// combining counter is that concurrent draws contend on balancers,
 	// not on one lock.
 	vals := slices.Grow(buf[:0], n)[:n]
-	ch.NextBlock(vals)
+	ch.NextBlockHooked(vals, yield, block)
 	obs.RecordFlight(obs.FlightBlockLease, vals[0], int64(n))
 
 	h.mu.Lock()

@@ -130,7 +130,7 @@ func TestBarrierPartyMismatch(t *testing.T) {
 }
 
 // TestCloseReleasesWaiters: a torn-down hub must not strand blocked
-// barrier arrivals or subscribe long-polls.
+// barrier arrivals.
 func TestCloseReleasesWaiters(t *testing.T) {
 	h := NewHub(testNet(t))
 	barErr := make(chan error, 1)
@@ -138,12 +138,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 		_, err := h.Barrier("never", 2)
 		barErr <- err
 	}()
-	subDone := make(chan struct{})
-	go func() {
-		h.Subscribe("quiet", 0, time.Hour)
-		close(subDone)
-	}()
-	time.Sleep(10 * time.Millisecond) // let both block
+	time.Sleep(10 * time.Millisecond) // let it block
 	h.Close()
 	select {
 	case err := <-barErr:
@@ -153,60 +148,11 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("barrier waiter not released by Close")
 	}
-	select {
-	case <-subDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscribe long-poll not released by Close")
-	}
 	if _, err := h.Barrier("x", 1); err == nil {
 		t.Fatal("barrier on closed hub accepted")
 	}
 	if _, err := h.Register("late"); err == nil {
 		t.Fatal("registration on closed hub accepted")
-	}
-}
-
-// TestSubscribeLateJoiner: a watcher that joins after publishes must
-// still see the full history (after=0), and a blocked watcher must
-// wake on the next publish.
-func TestSubscribeLateJoiner(t *testing.T) {
-	h := NewHub(testNet(t))
-	defer h.Close()
-	for _, v := range []string{"a", "b", "c"} {
-		h.Publish("events", v)
-	}
-
-	entries, next := h.Subscribe("events", 0, time.Second)
-	if len(entries) != 3 || entries[0] != "a" || entries[2] != "c" || next != 3 {
-		t.Fatalf("late joiner saw %v (next %d), want full history [a b c] next 3", entries, next)
-	}
-
-	// Nothing new yet: a bounded wait returns empty at its deadline.
-	entries, next = h.Subscribe("events", next, 20*time.Millisecond)
-	if len(entries) != 0 || next != 3 {
-		t.Fatalf("timed-out poll returned %v (next %d)", entries, next)
-	}
-
-	type result struct {
-		entries []string
-		next    int
-	}
-	woken := make(chan result, 1)
-	go func() {
-		e, n := h.Subscribe("events", 3, 10*time.Second)
-		woken <- result{e, n}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the watcher block
-	if seq := h.Publish("events", "d"); seq != 3 {
-		t.Fatalf("publish seq = %d, want 3", seq)
-	}
-	select {
-	case r := <-woken:
-		if len(r.entries) != 1 || r.entries[0] != "d" || r.next != 4 {
-			t.Fatalf("woken watcher got %v (next %d), want [d] next 4", r.entries, r.next)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("publish did not wake the blocked watcher")
 	}
 }
 
@@ -275,18 +221,4 @@ func TestDrawIssuesDistinctValues(t *testing.T) {
 // (harness imports this package).
 func workerID(i int) string {
 	return "w" + strconv.Itoa(i)
-}
-
-// TestKV exercises the run-scoped key/value store.
-func TestKV(t *testing.T) {
-	h := NewHub(testNet(t))
-	defer h.Close()
-	if _, ok := h.Get("missing"); ok {
-		t.Fatal("missing key reported present")
-	}
-	h.Put("k", "v1")
-	h.Put("k", "v2")
-	if v, ok := h.Get("k"); !ok || v != "v2" {
-		t.Fatalf("Get(k) = %q, %v", v, ok)
-	}
 }

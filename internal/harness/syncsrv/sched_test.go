@@ -1,136 +1,91 @@
-// Schedule exploration of the sync server's barrier: concurrent
-// arrivals run under the internal/sched controlled scheduler, with
-// ticket draws traversing the real counting network via the hooked
-// balancer path (AwaitHooked shares its mutex and release state with
-// the shipped Await). Invariant: in every interleaving, each party's
-// k-th arrival returns generation k — no lost wakeups, no generation
-// skew, regardless of how balancer accesses and the release broadcast
-// interleave. Lives in-package because stateBarrier is unexported.
-package syncsrv
+// Schedule exploration of the combining hub: concurrent Hub.Draw calls
+// run under the internal/sched controlled scheduler through the one
+// draw body, hooked into each lease's CombiningHandle, so a pass that
+// serves other leases' slots is explored rather than hoped for.
+// Invariant: in every interleaving the issue log and what each worker
+// received pass the cross-process oracle with no slack.
+package syncsrv_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"countnet/internal/core"
+	"countnet/internal/harness"
+	"countnet/internal/harness/syncsrv"
+	"countnet/internal/obs"
 	"countnet/internal/sched"
 )
 
-// barrierSystem builds a sched.System of `parties` tasks that each
-// pass through a fresh barrier `rounds` times on distinct entry wires.
-func barrierSystem(t *testing.T, parties, rounds int) sched.System {
+// hubDrawSystem builds a sched.System of one task per worker, each
+// leasing one block per entry of blocks from a fresh hub over K(2,2).
+// maxQueue collects the most leases one combine pass served.
+func hubDrawSystem(t *testing.T, workers int, blocks []int, maxQueue *int64) sched.System {
 	t.Helper()
+	net, err := core.K(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	for _, b := range blocks {
+		want += int64(workers * b)
+	}
 	return func() ([]sched.TaskFunc, func(*sched.Trace) error) {
-		net, err := core.K(2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := newStateBarrier(net, parties)
-		gens := make([][]int64, parties)
-		tasks := make([]sched.TaskFunc, parties)
-		for i := 0; i < parties; i++ {
-			i := i
+		h := syncsrv.NewHub(net)
+		o := syncsrv.EnableDrawObs(h, obs.NewRegistry())
+		got := make(map[string][]int64, workers)
+		errs := make([]error, workers)
+		tasks := make([]sched.TaskFunc, workers)
+		for i := range tasks {
+			w := fmt.Sprintf("w%d", i)
+			if _, err := h.Register(w); err != nil {
+				t.Fatal(err)
+			}
 			tasks[i] = func(y *sched.Yield) {
-				for r := 0; r < rounds; r++ {
-					gens[i] = append(gens[i], b.AwaitHooked(i%net.Width(), y.Step, y.Block))
+				for _, n := range blocks {
+					vals, err := syncsrv.DrawHooked(h, w, n, y.Step, y.Block)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					got[w] = append(got[w], vals...)
 				}
 			}
 		}
 		check := func(tr *sched.Trace) error {
-			for i, gs := range gens {
-				if len(gs) != rounds {
-					return fmt.Errorf("party %d completed %d of %d rounds", i, len(gs), rounds)
-				}
-				for r, g := range gs {
-					if g != int64(r) {
-						return fmt.Errorf("party %d round %d returned generation %d (all: %v)", i, r, g, gs)
-					}
+			for i, err := range errs {
+				if err != nil {
+					return fmt.Errorf("w%d: %v", i, err)
 				}
 			}
+			if err := harness.CheckRun(h.Width(), h.IssueLog(), got, nil); err != nil {
+				return err
+			}
+			if served := o.PassServed.Snapshot().Sum; served != want {
+				return fmt.Errorf("combine passes served %d values, want %d (every value leased)", served, want)
+			}
+			*maxQueue = max(*maxQueue, o.PassQueue.Snapshot().Max)
 			return nil
 		}
 		return tasks, check
 	}
 }
 
-// TestBarrierUnderExploredSchedules drives random and bounded-
-// preemption-exhaustive interleavings of concurrent barrier arrivals.
-func TestBarrierUnderExploredSchedules(t *testing.T) {
-	for _, tc := range []struct{ parties, rounds int }{
-		{2, 3}, // reuse across generations
-		{3, 2}, // more arrival races per generation
-	} {
-		name := fmt.Sprintf("p%dr%d", tc.parties, tc.rounds)
-		sys := barrierSystem(t, tc.parties, tc.rounds)
-		if rep := sched.ExploreRandom(sys, 0xba44, 150, 20_000); rep.Failure != nil {
-			t.Errorf("%s random: %s", name, rep.Failure)
-		}
-		if rep := sched.ExploreDFS(sys, 1, 5_000, 20_000); rep.Failure != nil {
-			t.Errorf("%s dfs: %s", name, rep.Failure)
-		}
+// TestHubDrawUnderExploredSchedules drives random and bounded-
+// preemption-exhaustive interleavings of three workers' leases through
+// the hub. Every schedule must pass the oracle with no slack, and some
+// explored pass must serve at least two leases: the hub really
+// combines, rather than running one pass per draw.
+func TestHubDrawUnderExploredSchedules(t *testing.T) {
+	var maxQueue int64
+	sys := hubDrawSystem(t, 3, []int{1, 2}, &maxQueue)
+	if rep := sched.ExploreRandom(sys, 0x4ab, 150, 30_000); rep.Failure != nil {
+		t.Errorf("random: %s", rep.Failure)
 	}
-}
-
-// TestTicketGenerationRefuted: the naive ticket-ordered barrier —
-// generation and release decided by the counting-network ticket value,
-// as in "release when ticket == boundary-1" — deadlocks under reuse,
-// because counting networks are not linearizable: a re-arriving party
-// can draw a ticket belonging to the previous generation, leaving that
-// generation's closing ticket with a party that never arrives again.
-// The exploration must find such a schedule; this is the refutation
-// that justifies arrival-ordered release in stateBarrier (and
-// counter.Barrier).
-func TestTicketGenerationRefuted(t *testing.T) {
-	const parties, rounds = 3, 2
-	sys := func() ([]sched.TaskFunc, func(*sched.Trace) error) {
-		net, err := core.K(2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := newStateBarrier(net, parties)
-		tasks := make([]sched.TaskFunc, parties)
-		for i := 0; i < parties; i++ {
-			i := i
-			tasks[i] = func(y *sched.Yield) {
-				for r := 0; r < rounds; r++ {
-					ticketArrive(b, i%net.Width(), y)
-				}
-			}
-		}
-		return tasks, func(tr *sched.Trace) error { return nil }
+	if rep := sched.ExploreDFS(sys, 1, 5_000, 30_000); rep.Failure != nil {
+		t.Errorf("dfs: %s", rep.Failure)
 	}
-	rep := sched.ExploreRandom(sys, 0xdead, 500, 20_000)
-	if rep.Failure == nil {
-		t.Fatal("ticket-ordered release survived exploration; expected a deadlock schedule")
+	if maxQueue < 2 {
+		t.Errorf("most leases served by one explored pass = %d; the hub never combined two draws", maxQueue)
 	}
-	if !strings.Contains(rep.Failure.Err.Error(), "deadlock") {
-		t.Fatalf("unexpected failure kind: %v", rep.Failure.Err)
-	}
-}
-
-// ticketArrive is the refuted construction: generation from the ticket
-// value, release when the generation's highest ticket arrives. It uses
-// the same network counter and lock as the real barrier so the
-// exploration runs the same instrumented traversal.
-func ticketArrive(b *stateBarrier, wire int, y *sched.Yield) int64 {
-	t := b.ctr.NextOnHooked(wire, y.Step)
-	gen := t / b.n
-	boundary := (gen + 1) * b.n
-	y.Step("barrier gate")
-	b.mu.Lock()
-	if t == boundary-1 {
-		if boundary > b.done {
-			b.done = boundary
-		}
-		b.mu.Unlock()
-		return gen
-	}
-	b.mu.Unlock()
-	y.Block("barrier wait", func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.done >= boundary
-	})
-	return gen
 }

@@ -3,8 +3,6 @@ package syncsrv
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -13,19 +11,14 @@ import (
 )
 
 // Server exposes a Hub over HTTP. Every endpoint but /drawchan speaks
-// JSON; blocking endpoints (/barrier, /sub) hold the request open until
-// released, so workers long-poll instead of spinning.
+// JSON; /barrier holds the request open until the barrier releases it,
+// so workers wait instead of spinning.
 //
-//	POST /register?worker=W          -> {"workers":K} (409 on duplicate)
-//	POST /barrier?state=S&n=N        -> blocks; {"generation":G}
-//	POST /pub?topic=T    (body)      -> {"seq":I}
-//	GET  /sub?topic=T&after=I&wait=D -> {"entries":[...],"next":J}
-//	PUT  /kv?key=K       (body)      -> 204
-//	GET  /kv?key=K                   -> value (404 when absent)
-//	GET  /draws                      -> {"width":W,"issued":{...}}
-//	GET  /healthz                    -> ok
+//	POST /register?worker=W   -> {"workers":K} (409 on duplicate)
+//	POST /barrier?state=S&n=N -> blocks; {"generation":G}
+//	GET  /draws               -> {"width":W,"issued":{...}}
 //	GET  /drawchan  (Upgrade: countnet-draw/1)
-//	                                 -> 101; then binary lease frames
+//	                          -> 101; then binary lease frames
 //
 // Leases (Hub.Draw) travel only over the upgraded draw channel, one
 // connection per Client; its frame layout is documented with drawPath.
@@ -40,13 +33,9 @@ type Server struct {
 	wg     sync.WaitGroup        // one per draw channel goroutine
 }
 
-// maxSubWait caps a /sub long-poll so an abandoned watcher cannot pin
-// its handler goroutine past the run.
-const maxSubWait = 30 * time.Second
-
 // readHeaderTimeout bounds how long a client may take to send request
 // headers, so a stalled client cannot hold a connection forever. There
-// is deliberately no WriteTimeout: /barrier and /sub block by design.
+// is deliberately no WriteTimeout: /barrier blocks by design.
 const readHeaderTimeout = 10 * time.Second
 
 // NewServer wraps the hub. Call Start to begin serving.
@@ -55,14 +44,8 @@ func NewServer(hub *Hub) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/register", s.handleRegister)
 	mux.HandleFunc("/barrier", s.handleBarrier)
-	mux.HandleFunc("/pub", s.handlePub)
-	mux.HandleFunc("/sub", s.handleSub)
-	mux.HandleFunc("/kv", s.handleKV)
 	mux.HandleFunc("/draws", s.handleDraws)
 	mux.HandleFunc(drawPath, s.handleDrawChan)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
@@ -85,10 +68,9 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 // URL returns the base URL clients should use.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Shutdown closes the hub (releasing blocked barrier and subscribe
-// handlers), closes every draw channel (failing the Draw calls pending
-// on them), drains the HTTP server, and waits for the channel
-// goroutines to exit.
+// Shutdown closes the hub (releasing blocked barrier handlers), closes
+// every draw channel (failing the Draw calls pending on them), drains
+// the HTTP server, and waits for the channel goroutines to exit.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.hub.Close()
 	s.mu.Lock()
@@ -136,68 +118,6 @@ func (s *Server) handleBarrier(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]int64{"generation": gen})
-}
-
-func (s *Server) handlePub(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	if topic == "" {
-		http.Error(w, "syncsrv: pub needs topic", http.StatusBadRequest)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, map[string]int{"seq": s.hub.Publish(topic, string(body))})
-}
-
-func (s *Server) handleSub(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	topic := q.Get("topic")
-	if topic == "" {
-		http.Error(w, "syncsrv: sub needs topic", http.StatusBadRequest)
-		return
-	}
-	after, _ := strconv.Atoi(q.Get("after"))
-	wait := time.Duration(0)
-	if d := q.Get("wait"); d != "" {
-		var err error
-		if wait, err = time.ParseDuration(d); err != nil {
-			http.Error(w, "syncsrv: bad wait duration", http.StatusBadRequest)
-			return
-		}
-	}
-	if wait > maxSubWait {
-		wait = maxSubWait
-	}
-	entries, next := s.hub.Subscribe(topic, after, wait)
-	writeJSON(w, map[string]any{"entries": entries, "next": next})
-}
-
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "syncsrv: kv needs key", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.hub.Put(key, string(body))
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		v, ok := s.hub.Get(key)
-		if !ok {
-			http.Error(w, "syncsrv: no such key", http.StatusNotFound)
-			return
-		}
-		fmt.Fprint(w, v)
-	}
 }
 
 func (s *Server) handleDraws(w http.ResponseWriter, r *http.Request) {

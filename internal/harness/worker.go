@@ -74,6 +74,7 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer, opt WorkerOptio
 		wobs:     newWorkerObs(),
 		obsEvery: obsEvery,
 	}
+	defer w.client.Close()
 	w.reg.Register("worker", w.wobs)
 	if opt.ID == "" {
 		return w.fail(fmt.Errorf("harness: worker needs an id"))
